@@ -2,14 +2,11 @@
 // resampling, BCa interval computation, greedy CIO (both expansions), and
 // the end-to-end extractor.
 //
-// With --json, instead of running the google-benchmark suite, one
-// telemetry-enabled extraction is profiled and its span-derived phase
-// breakdown (plus the metrics counters) is emitted as a JSON document.
-//
-// With --chaos, a fault-injected extraction is profiled instead: the seam
-// overhead against the untouched default path, bit-identity of the chaos
-// run across dispatch widths, and the degradation/access telemetry of the
-// reference run are emitted as JSON (committed as BENCH_chaos.json).
+// With --check, instead of running the google-benchmark suite, the KDE
+// fast path and the stability Psi sweep are timed against their exact
+// oracles; the speed ratios print as a text table and the exit code is
+// nonzero when one misses its bound (ctest `bench_micro_pipeline_check`,
+// label `timing`).
 //
 // With --trace-out FILE, one pool-backed extraction is journaled into a
 // flight recorder and exported as Chrome trace-event JSON for
@@ -17,22 +14,18 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <string>
+#include <vector>
 
+#include "timing_checks.h"
 #include "vastats/vastats.h"
 #include "workloads.h"
 
 namespace vastats::bench {
 namespace {
-
-// Stamped into every JSON document this binary emits and into the
-// committed BENCH_*.json baselines; tools/benchdiff refuses to compare
-// dumps whose versions disagree. Bump when a key changes meaning or moves.
-constexpr int64_t kBenchSchemaVersion = 1;
 
 const Workload& D2() {
   static const Workload* workload = new Workload(MakeD2Workload());
@@ -154,514 +147,140 @@ double MeasureSeconds(const std::function<void()>& fn) {
   return stopwatch.ElapsedSeconds();
 }
 
-// Appends the pool-vs-thread-per-call dispatch comparison: the same 4000
-// chunk-indexed draws (bit-identical outputs by construction, verified
-// here) through the serial, thread-per-call, and persistent-pool modes,
-// plus serial vs pooled bootstrap replicate evaluation.
-bool AppendPoolComparison(JsonWriter& out) {
-  constexpr int kDraws = 4000;
-  ThreadPool* pool = DefaultThreadPool();
-
-  ParallelSampleOptions serial_options;
-  serial_options.num_threads = 1;
-  Result<std::vector<double>> serial = Status::Internal("unset");
-  const double serial_seconds = MeasureSeconds([&] {
-    serial = ParallelUniSSample(D2Sampler(), kDraws, serial_options);
-  });
-  ParallelSampleOptions per_call_options;  // 0 -> hardware concurrency
-  Result<std::vector<double>> per_call = Status::Internal("unset");
-  const double per_call_seconds = MeasureSeconds([&] {
-    per_call = ParallelUniSSample(D2Sampler(), kDraws, per_call_options);
-  });
-  ParallelSampleOptions pool_options;
-  pool_options.pool = pool;
-  Result<std::vector<double>> pooled = Status::Internal("unset");
-  const double pool_seconds = MeasureSeconds(
-      [&] { pooled = ParallelUniSSample(D2Sampler(), kDraws, pool_options); });
-  if (!serial.ok() || !per_call.ok() || !pooled.ok()) return false;
-  // The three dispatch modes must agree bit for bit.
-  if (serial.value() != per_call.value() || serial.value() != pooled.value()) {
-    std::fprintf(stderr, "dispatch modes disagree on the sampled bits\n");
-    return false;
-  }
-
-  BootstrapOptions bootstrap;
-  bootstrap.num_sets = 200;
-  Result<std::vector<double>> boot_serial = Status::Internal("unset");
-  const double boot_serial_seconds = MeasureSeconds([&] {
-    Rng rng(23);
-    boot_serial = BootstrapReplicates(
-        serial.value(), MomentStatisticFn(MomentStatistic::kVariance),
-        bootstrap, rng);
-  });
-  Result<std::vector<double>> boot_pooled = Status::Internal("unset");
-  const double boot_pool_seconds = MeasureSeconds([&] {
-    Rng rng(23);
-    boot_pooled = BootstrapReplicates(
-        serial.value(), MomentStatisticFn(MomentStatistic::kVariance),
-        bootstrap, rng, pool);
-  });
-  if (!boot_serial.ok() || !boot_pooled.ok() ||
-      boot_serial.value() != boot_pooled.value()) {
-    return false;
-  }
-
-  out.Key("pool_comparison");
-  out.BeginObject();
-  out.KeyValue("draws", static_cast<int64_t>(kDraws));
-  out.KeyValue("pool_threads", static_cast<int64_t>(pool->num_threads()));
-  out.Key("sampling_seconds");
-  out.BeginObject();
-  out.KeyValue("serial", serial_seconds);
-  out.KeyValue("thread_per_call", per_call_seconds);
-  out.KeyValue("pool", pool_seconds);
-  out.EndObject();
-  out.KeyValue("bootstrap_sets", static_cast<int64_t>(bootstrap.num_sets));
-  out.Key("bootstrap_seconds");
-  out.BeginObject();
-  out.KeyValue("serial", boot_serial_seconds);
-  out.KeyValue("pool", boot_pool_seconds);
-  out.EndObject();
-  out.EndObject();
-  return true;
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
-// Appends the KDE fast-path comparison: the same 400-draw sample fitted
-// repeatedly through the binned DCT default and the direct-summation
-// oracle (per-fit wall time for each), plus a per-set vs shared bandwidth
-// bagged run, with the Botev evaluation and plan-cache counters that
-// explain the timings.
-bool AppendKdeSection(JsonWriter& out) {
+// KDE fast path against its oracle: the same 400-draw sample fitted 50
+// times through the binned DCT default and 50 times by direct summation.
+bool AddKdeChecks(std::vector<RatioCheck>* checks) {
   constexpr int kDraws = 400;
   constexpr int kFits = 50;
   Rng rng(17);
   const auto sample = D2Sampler().Sample(kDraws, rng);
   if (!sample.ok()) return false;
 
-  MetricsRegistry metrics;
-  ObsOptions obs;
-  obs.metrics = &metrics;
   DctPlan plan;
   KdeOptions binned_options;  // production default: binned DCT, Botev
   KdeOptions direct_options = binned_options;
   direct_options.binned = false;
 
   // Warm the transform tables so the binned loop times steady-state fits.
-  if (!EstimateKde(sample.value(), binned_options, obs, &plan).ok()) {
+  if (!EstimateKde(sample.value(), binned_options, {}, &plan).ok()) {
     return false;
   }
   bool ok = true;
   const double binned_seconds = MeasureSeconds([&] {
     for (int i = 0; i < kFits && ok; ++i) {
-      ok = EstimateKde(sample.value(), binned_options, obs, &plan).ok();
+      ok = EstimateKde(sample.value(), binned_options, {}, &plan).ok();
     }
   });
-  const uint64_t botev_iterations =
-      metrics.Snapshot().FindCounter("kde_botev_iterations_total")->value;
   const double direct_seconds = MeasureSeconds([&] {
     for (int i = 0; i < kFits && ok; ++i) {
-      ok = EstimateKde(sample.value(), direct_options, obs, &plan).ok();
+      ok = EstimateKde(sample.value(), direct_options, {}, &plan).ok();
     }
   });
   if (!ok) return false;
-
-  // Selector amortization: per-set vs shared bandwidth over 50 bootstrap
-  // sets of the same sample.
-  BootstrapOptions bootstrap;
-  bootstrap.num_sets = kFits;
-  Rng boot_rng(18);
-  const auto sets = BootstrapSets(sample.value(), bootstrap, boot_rng);
-  if (!sets.ok()) return false;
-  BaggedKdeOptions per_set;
-  Result<BaggedKde> bagged = Status::Internal("unset");
-  const double per_set_seconds = MeasureSeconds([&] {
-    bagged = EstimateBaggedKde(sets.value(), sample.value(), per_set);
-  });
-  if (!bagged.ok()) return false;
-  BaggedKdeOptions shared;
-  shared.bandwidth_mode = BandwidthMode::kShared;
-  const double shared_seconds = MeasureSeconds([&] {
-    bagged = EstimateBaggedKde(sets.value(), sample.value(), shared);
-  });
-  if (!bagged.ok()) return false;
-
-  out.Key("kde");
-  out.BeginObject();
-  out.KeyValue("sample_size", static_cast<int64_t>(kDraws));
-  out.KeyValue("grid_size",
-               static_cast<int64_t>(binned_options.grid_size));
-  out.KeyValue("fits_per_path", static_cast<int64_t>(kFits));
-  out.Key("seconds_per_fit");
-  out.BeginObject();
-  out.KeyValue("binned", binned_seconds / kFits);
-  out.KeyValue("direct", direct_seconds / kFits);
-  out.EndObject();
-  out.KeyValue("direct_to_binned_ratio", direct_seconds / binned_seconds);
-  out.KeyValue("botev_iterations_per_fit",
-               static_cast<double>(botev_iterations) /
-                   static_cast<double>(kFits + 1));
-  out.KeyValue("plan_cache_hits", static_cast<int64_t>(plan.cache_hits()));
-  out.KeyValue("plan_cache_misses",
-               static_cast<int64_t>(plan.cache_misses()));
-  out.KeyValue("bagged_sets", static_cast<int64_t>(bootstrap.num_sets));
-  out.Key("bagged_seconds");
-  out.BeginObject();
-  out.KeyValue("per_set_bandwidth", per_set_seconds);
-  out.KeyValue("shared_bandwidth", shared_seconds);
-  out.EndObject();
-  out.EndObject();
+  std::printf("kde |S|=%d grid=%zu  per fit: binned %.1f us, direct %.1f us\n",
+              kDraws, static_cast<size_t>(binned_options.grid_size),
+              1e6 * binned_seconds / kFits, 1e6 * direct_seconds / kFits);
+  checks->push_back({"kde direct/binned per fit",
+                     direct_seconds / binned_seconds, Bound::kAbove, 1.0});
   return true;
 }
 
-// Appends the stability Psi scaling sweep: the binned Gauss-transform
-// default against the sorted exact oracle at |S| in {400, 1600, 6400}
-// (per-eval wall time, the relative Psi error, and the growth of each path
-// across the 16x sample sweep). The binned path works on a fixed grid, so
-// its growth stays near flat while the exact path scales quadratically —
-// the numbers behind demoting the pairwise sum to an accuracy oracle.
-bool AppendStabilitySection(JsonWriter& out) {
-  constexpr int kSizes[] = {400, 1600, 6400};
+// Stability Psi scaling across a 16x sample sweep: the binned
+// Gauss-transform default works on a fixed grid, so its cost stays near flat
+// from |S| = 400 to 6400, while the sorted exact oracle grows superlinearly.
+// Both sizes use one fixed D2 sample each. The binned growth is the median
+// of per-pair ratios over kPairs interleaved pairs, each pair timing
+// kBinnedReps evaluations at both sizes (which size runs first alternates).
+// A single 32-eval shot per size on a fresh sample spread 1.3-2.1 over twelve
+// runs on a shared 4-vCPU VM, a third of them past the bound.
+bool AddStabilityChecks(std::vector<RatioCheck>* checks) {
+  constexpr int kSmall = 400;
+  constexpr int kLarge = 6400;
+  constexpr int kPairs = 21;
   constexpr int kBinnedReps = 32;
-  // The exact sum is O(n^2); scale reps down so the sweep stays ~cheap.
-  constexpr int kExactReps[] = {16, 4, 1};
+  // The exact sum is O(n^2); scale reps down so the sweep stays cheap.
+  constexpr int kExactRepsSmall = 16;
+  constexpr int kExactRepsLarge = 1;
   Rng rng(29);
+  const auto small = D2Sampler().Sample(kSmall, rng);
+  const auto large = D2Sampler().Sample(kLarge, rng);
+  if (!small.ok() || !large.ok()) return false;
+  const double small_h = SilvermanBandwidth(small.value());
+  const double large_h = SilvermanBandwidth(large.value());
+
   DctPlan plan;
   const StabilityOptions options;  // binned, 4096 grid
-
-  double binned_per_eval[3] = {0.0, 0.0, 0.0};
-  double exact_per_eval[3] = {0.0, 0.0, 0.0};
-  double rel_err[3] = {0.0, 0.0, 0.0};
-  bool binned_path[3] = {false, false, false};
-  for (int i = 0; i < 3; ++i) {
-    const auto sample = D2Sampler().Sample(kSizes[i], rng);
-    if (!sample.ok()) return false;
-    const double bandwidth = SilvermanBandwidth(sample.value());
-
-    Result<PsiEvaluation> binned = Status::Internal("unset");
-    // Warm the transform tables; the loop then times steady-state evals.
-    binned = EvaluateMutualImpactPsi(sample.value(), bandwidth, options, {},
-                                     &plan);
-    if (!binned.ok()) return false;
-    binned_path[i] = binned->mode == StabilityPsiMode::kBinned;
-    const double binned_seconds = MeasureSeconds([&] {
-      for (int rep = 0; rep < kBinnedReps && binned.ok(); ++rep) {
-        binned = EvaluateMutualImpactPsi(sample.value(), bandwidth, options,
-                                         {}, &plan);
+  bool ok = true;
+  const auto time_binned = [&](const std::vector<double>& sample, double h) {
+    return MeasureSeconds([&] {
+      for (int rep = 0; rep < kBinnedReps && ok; ++rep) {
+        ok = EvaluateMutualImpactPsi(sample, h, options, {}, &plan).ok();
       }
     });
-    if (!binned.ok()) return false;
-    binned_per_eval[i] = binned_seconds / kBinnedReps;
+  };
+  // Warm the transform tables at both sizes; the pairs then time
+  // steady-state evaluations.
+  time_binned(small.value(), small_h);
+  time_binned(large.value(), large_h);
 
-    double exact_psi = 0.0;
-    const double exact_seconds = MeasureSeconds([&] {
-      for (int rep = 0; rep < kExactReps[i]; ++rep) {
-        exact_psi = MutualImpactPsiSorted(sample.value(), bandwidth);
-      }
-    });
-    exact_per_eval[i] = exact_seconds / kExactReps[i];
-    if (!(exact_psi > 0.0)) return false;
-    rel_err[i] = std::fabs(binned->psi - exact_psi) / exact_psi;
+  std::vector<double> growth, small_seconds, large_seconds;
+  for (int pair = 0; pair < kPairs && ok; ++pair) {
+    double t_small = 0.0, t_large = 0.0;
+    if (pair % 2 == 0) {
+      t_small = time_binned(small.value(), small_h);
+      t_large = time_binned(large.value(), large_h);
+    } else {
+      t_large = time_binned(large.value(), large_h);
+      t_small = time_binned(small.value(), small_h);
+    }
+    growth.push_back(t_large / t_small);
+    small_seconds.push_back(t_small / kBinnedReps);
+    large_seconds.push_back(t_large / kBinnedReps);
   }
+  if (!ok) return false;
 
-  out.Key("stability");
-  out.BeginObject();
-  out.KeyValue("grid_size", static_cast<int64_t>(options.grid_size));
-  out.Key("sample_sizes");
-  out.BeginArray();
-  for (const int size : kSizes) out.Int(size);
-  out.EndArray();
-  out.Key("binned_seconds_per_eval");
-  out.BeginObject();
-  for (int i = 0; i < 3; ++i) {
-    out.KeyValue(std::to_string(kSizes[i]), binned_per_eval[i]);
-  }
-  out.EndObject();
-  out.Key("exact_seconds_per_eval");
-  out.BeginObject();
-  for (int i = 0; i < 3; ++i) {
-    out.KeyValue(std::to_string(kSizes[i]), exact_per_eval[i]);
-  }
-  out.EndObject();
-  // Growth of each path across the full 16x sample sweep; plain ratios
-  // (warn-only in benchdiff) asserted by the CI smoke instead.
-  out.KeyValue("binned_growth_400_to_6400",
-               binned_per_eval[2] / binned_per_eval[0]);
-  out.KeyValue("exact_growth_400_to_6400",
-               exact_per_eval[2] / exact_per_eval[0]);
-  out.KeyValue("exact_to_binned_ratio_6400",
-               exact_per_eval[2] / binned_per_eval[2]);
-  out.Key("psi_rel_err");
-  out.BeginObject();
-  for (int i = 0; i < 3; ++i) {
-    out.KeyValue(std::to_string(kSizes[i]), rel_err[i]);
-  }
-  out.EndObject();
-  out.KeyValue("all_sizes_took_binned_path",
-               binned_path[0] && binned_path[1] && binned_path[2]);
-  out.EndObject();
+  double exact_psi = 0.0;
+  const double exact_small = MeasureSeconds([&] {
+    for (int rep = 0; rep < kExactRepsSmall; ++rep) {
+      exact_psi = MutualImpactPsiSorted(small.value(), small_h);
+    }
+  }) / kExactRepsSmall;
+  const double exact_large = MeasureSeconds([&] {
+    for (int rep = 0; rep < kExactRepsLarge; ++rep) {
+      exact_psi = MutualImpactPsiSorted(large.value(), large_h);
+    }
+  }) / kExactRepsLarge;
+  if (!(exact_psi > 0.0)) return false;
+
+  const double binned_large = Median(large_seconds);
+  std::printf(
+      "stability psi grid=%zu  per eval at |S|=%d/%d: binned %.1f/%.1f us "
+      "(median of %d pairs), exact %.1f/%.1f us\n",
+      static_cast<size_t>(options.grid_size), kSmall, kLarge,
+      1e6 * Median(small_seconds), 1e6 * binned_large, kPairs,
+      1e6 * exact_small, 1e6 * exact_large);
+  checks->push_back({"stability binned growth 400->6400", Median(growth),
+                     Bound::kBelow, 1.5});
+  checks->push_back({"stability exact growth 400->6400",
+                     exact_large / exact_small, Bound::kAbove, 4.0});
+  checks->push_back({"stability exact/binned at 6400",
+                     exact_large / binned_large, Bound::kAbove, 10.0});
   return true;
 }
 
-// One fully instrumented extraction; the JSON breakdown comes from the
-// recorded spans (the same measurement PhaseTimings reports).
-int RunJsonBreakdown() {
-  Trace trace;
-  MetricsRegistry metrics;
-  ExtractorOptions options;
-  options.initial_sample_size = 400;
-  options.weight_probes = 10;
-  options.obs.trace = &trace;
-  options.obs.metrics = &metrics;
-  const auto extractor = AnswerStatisticsExtractor::Create(
-      D2().sources.get(), D2().query, options);
-  if (!extractor.ok()) {
-    std::fprintf(stderr, "%s\n", extractor.status().ToString().c_str());
+// The --check mode: every speed ratio of the kde and stability sweeps.
+int RunChecks() {
+  std::vector<RatioCheck> checks;
+  if (!AddKdeChecks(&checks) || !AddStabilityChecks(&checks)) {
+    std::fprintf(stderr, "a kde or stability evaluation failed\n");
     return 1;
   }
-  const auto stats = extractor->Extract();
-  if (!stats.ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
-    return 1;
-  }
-
-  JsonWriter out;
-  out.BeginObject();
-  out.KeyValue("schema_version", kBenchSchemaVersion);
-  out.KeyValue("benchmark", "micro_pipeline");
-  out.KeyValue("sample_size",
-               static_cast<int64_t>(options.initial_sample_size));
-  out.Key("phases_seconds");
-  out.BeginObject();
-  for (const char* phase : {"sampling", "bootstrap", "point_statistics",
-                            "kde", "cio", "stability"}) {
-    out.KeyValue(phase, trace.TotalSecondsOf(phase));
-  }
-  out.EndObject();
-  out.KeyValue("total_seconds", trace.TotalSecondsOf("extract"));
-  if (!AppendPoolComparison(out)) {
-    std::fprintf(stderr, "pool comparison failed\n");
-    return 1;
-  }
-  if (!AppendKdeSection(out)) {
-    std::fprintf(stderr, "kde comparison failed\n");
-    return 1;
-  }
-  if (!AppendStabilitySection(out)) {
-    std::fprintf(stderr, "stability comparison failed\n");
-    return 1;
-  }
-  out.Key("counters");
-  out.BeginObject();
-  for (const CounterSample& counter : metrics.Snapshot().counters) {
-    out.KeyValue(counter.name, static_cast<int64_t>(counter.value));
-  }
-  out.EndObject();
-  out.EndObject();
-  std::printf("%s\n", std::move(out).Finish().c_str());
-  return 0;
-}
-
-// --- chaos mode -----------------------------------------------------------
-
-// A redundant synthetic universe for the fault-injection run: with >= 3
-// copies per component a 20% scheduled outage still leaves every component
-// reachable, so Extract degrades instead of failing.
-Result<SourceSet> BuildChaosSources() {
-  SyntheticSourceSetOptions options;
-  options.num_sources = 60;
-  options.num_components = 120;
-  options.min_copies = 3;
-  options.max_copies = 5;
-  options.seed = 51;
-  const auto d2 = MakeD2(52);
-  return BuildSyntheticSourceSet(*d2, options);
-}
-
-FaultModelOptions ChaosFaultOptions() {
-  FaultModelOptions fault;
-  fault.transient_failure_prob = 0.15;
-  fault.failure_spread_sigma = 0.5;
-  fault.corrupt_value_prob = 0.02;
-  fault.latency_jitter_sigma = 0.3;
-  fault.outage_fraction = 0.2;
-  fault.outage_epoch = 64;
-  fault.seed = 31337;
-  return fault;
-}
-
-bool SameChaosResult(const AnswerStatistics& a, const AnswerStatistics& b) {
-  if (a.samples != b.samples || a.mean.value != b.mean.value) return false;
-  const DegradationReport& x = a.degradation;
-  const DegradationReport& y = b.degradation;
-  return x.draws_requested == y.draws_requested &&
-         x.draws_kept == y.draws_kept && x.draws_dropped == y.draws_dropped &&
-         x.min_coverage == y.min_coverage &&
-         x.mean_coverage == y.mean_coverage &&
-         x.access.visits == y.access.visits &&
-         x.access.attempts == y.access.attempts &&
-         x.access.retries == y.access.retries &&
-         x.access.transient_failures == y.access.transient_failures &&
-         x.access.failed_visits == y.access.failed_visits &&
-         x.access.breaker_open_skips == y.access.breaker_open_skips &&
-         x.access.corrupt_values_rejected == y.access.corrupt_values_rejected &&
-         x.access.virtual_ms == y.access.virtual_ms &&
-         x.access.breaker_severity == y.access.breaker_severity;
-}
-
-// One fault-injected extraction profiled three ways: overhead of the seam
-// against the untouched default path, bit-identity of the chaos run across
-// dispatch widths, and the DegradationReport/AccessStats telemetry of the
-// reference run.
-int RunChaosJson() {
-  constexpr int kDraws = 400;
-  const auto set = BuildChaosSources();
-  if (!set.ok()) {
-    std::fprintf(stderr, "%s\n", set.status().ToString().c_str());
-    return 1;
-  }
-  const AggregateQuery query =
-      MakeRangeQuery("chaos", AggregateKind::kAverage, 0, 120);
-  const auto model = FaultModel::Create(60, ChaosFaultOptions());
-  if (!model.ok()) {
-    std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-    return 1;
-  }
-
-  MetricsRegistry metrics;
-  const auto extract = [&](const FaultModel* fault_model, bool use_seam,
-                           int sampling_threads, ThreadPool* pool,
-                           MetricsRegistry* sink) -> Result<AnswerStatistics> {
-    ExtractorOptions options;
-    options.initial_sample_size = kDraws;
-    options.weight_probes = 10;
-    options.sampling_threads = sampling_threads;
-    options.pool = pool;
-    options.obs.metrics = sink;
-    if (use_seam) {
-      FaultToleranceOptions fault;
-      fault.model = fault_model;
-      fault.min_draw_coverage = 0.3;
-      options.fault_tolerance = fault;
-    }
-    VASTATS_ASSIGN_OR_RETURN(
-        const AnswerStatisticsExtractor extractor,
-        AnswerStatisticsExtractor::Create(&*set, query, options));
-    return extractor.Extract();
-  };
-
-  // Overhead: the default path (no fault_tolerance at all), the seam with a
-  // null model (plumbing only), and the full chaos model.
-  Result<AnswerStatistics> baseline = Status::Internal("unset");
-  const double baseline_seconds = MeasureSeconds(
-      [&] { baseline = extract(nullptr, false, 1, nullptr, nullptr); });
-  Result<AnswerStatistics> null_seam = Status::Internal("unset");
-  const double null_seam_seconds = MeasureSeconds(
-      [&] { null_seam = extract(nullptr, true, 1, nullptr, nullptr); });
-  Result<AnswerStatistics> chaos = Status::Internal("unset");
-  const double chaos_seconds = MeasureSeconds(
-      [&] { chaos = extract(&*model, true, 1, nullptr, &metrics); });
-  if (!baseline.ok() || !null_seam.ok() || !chaos.ok()) {
-    std::fprintf(stderr, "chaos extraction failed\n");
-    return 1;
-  }
-  if (baseline->degradation.degraded || !chaos->degradation.degraded) {
-    std::fprintf(stderr, "unexpected degradation flags\n");
-    return 1;
-  }
-  // The null-model seam must never degrade: every visit succeeds instantly.
-  if (null_seam->degradation.degraded ||
-      null_seam->degradation.draws_dropped != 0 ||
-      null_seam->degradation.min_coverage != 1.0) {
-    std::fprintf(stderr, "null-model seam reported degradation\n");
-    return 1;
-  }
-
-  // Determinism: the same chaos run through wider dispatch modes must
-  // reproduce the reference bit for bit (samples, report, and counters).
-  double threads_seconds = 0.0;
-  for (const int threads : {4, 16}) {
-    Result<AnswerStatistics> got = Status::Internal("unset");
-    threads_seconds = MeasureSeconds(
-        [&] { got = extract(&*model, true, threads, nullptr, nullptr); });
-    if (!got.ok() || !SameChaosResult(*chaos, *got)) {
-      std::fprintf(stderr, "chaos run diverged at %d threads\n", threads);
-      return 1;
-    }
-  }
-  ThreadPool* pool = DefaultThreadPool();
-  Result<AnswerStatistics> pooled = Status::Internal("unset");
-  const double pool_seconds = MeasureSeconds(
-      [&] { pooled = extract(&*model, true, 1, pool, nullptr); });
-  if (!pooled.ok() || !SameChaosResult(*chaos, *pooled)) {
-    std::fprintf(stderr, "chaos run diverged on the persistent pool\n");
-    return 1;
-  }
-
-  const DegradationReport& report = chaos->degradation;
-  JsonWriter out;
-  out.BeginObject();
-  out.KeyValue("schema_version", kBenchSchemaVersion);
-  out.KeyValue("benchmark", "micro_pipeline_chaos");
-  out.Key("workload");
-  out.BeginObject();
-  out.KeyValue("sources", static_cast<int64_t>(set->NumSources()));
-  out.KeyValue("components", static_cast<int64_t>(120));
-  out.KeyValue("draws", static_cast<int64_t>(kDraws));
-  out.KeyValue("transient_failure_prob", 0.15);
-  out.KeyValue("outage_fraction", 0.2);
-  out.EndObject();
-  out.Key("seconds");
-  out.BeginObject();
-  out.KeyValue("baseline_no_seam", baseline_seconds);
-  out.KeyValue("seam_null_model", null_seam_seconds);
-  out.KeyValue("chaos_serial", chaos_seconds);
-  out.KeyValue("chaos_threads_16", threads_seconds);
-  out.KeyValue("chaos_pool", pool_seconds);
-  out.EndObject();
-  out.KeyValue("seam_overhead_ratio", null_seam_seconds / baseline_seconds);
-  out.KeyValue("bit_identical_across_widths", true);
-  out.Key("degradation");
-  out.BeginObject();
-  out.KeyValue("degraded", report.degraded);
-  out.KeyValue("draws_requested", static_cast<int64_t>(report.draws_requested));
-  out.KeyValue("draws_kept", static_cast<int64_t>(report.draws_kept));
-  out.KeyValue("draws_dropped", static_cast<int64_t>(report.draws_dropped));
-  out.KeyValue("min_coverage", report.min_coverage);
-  out.KeyValue("mean_coverage", report.mean_coverage);
-  out.EndObject();
-  out.Key("access");
-  out.BeginObject();
-  out.KeyValue("visits", static_cast<int64_t>(report.access.visits));
-  out.KeyValue("attempts", static_cast<int64_t>(report.access.attempts));
-  out.KeyValue("retries", static_cast<int64_t>(report.access.retries));
-  out.KeyValue("transient_failures",
-               static_cast<int64_t>(report.access.transient_failures));
-  out.KeyValue("failed_visits",
-               static_cast<int64_t>(report.access.failed_visits));
-  out.KeyValue("breaker_open_skips",
-               static_cast<int64_t>(report.access.breaker_open_skips));
-  out.KeyValue("corrupt_values_rejected",
-               static_cast<int64_t>(report.access.corrupt_values_rejected));
-  out.KeyValue("breaker_transitions",
-               static_cast<int64_t>(report.access.breaker_transitions));
-  out.KeyValue("deadline_truncated_draws",
-               static_cast<int64_t>(report.access.deadline_truncated_draws));
-  out.KeyValue("virtual_ms", report.access.virtual_ms);
-  out.KeyValue("backoff_ms", report.access.backoff_ms);
-  out.KeyValue("sources_open", static_cast<int64_t>(report.access.SourcesOpen()));
-  out.KeyValue("sources_half_open",
-               static_cast<int64_t>(report.access.SourcesHalfOpen()));
-  out.EndObject();
-  out.KeyValue("mean", chaos->mean.value);
-  out.Key("counters");
-  out.BeginObject();
-  for (const CounterSample& counter : metrics.Snapshot().counters) {
-    out.KeyValue(counter.name, static_cast<int64_t>(counter.value));
-  }
-  out.EndObject();
-  out.EndObject();
-  std::printf("%s\n", std::move(out).Finish().c_str());
-  return 0;
+  return ReportChecks(checks);
 }
 
 // One fully journaled extraction exported as a Chrome trace. Sampling is
@@ -705,11 +324,8 @@ int RunTraceExport(const char* path) {
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      return vastats::bench::RunJsonBreakdown();
-    }
-    if (std::strcmp(argv[i], "--chaos") == 0) {
-      return vastats::bench::RunChaosJson();
+    if (std::strcmp(argv[i], "--check") == 0) {
+      return vastats::bench::RunChecks();
     }
     if (std::strcmp(argv[i], "--trace-out") == 0) {
       if (i + 1 >= argc) {

@@ -15,24 +15,21 @@
 //
 // Latency is charged in virtual time (kModelVirtual), so all five runs
 // must produce bit-identical samples, coverages, and AccessStats — any
-// divergence exits non-zero. The JSON document (committed as
-// BENCH_transport.json) carries the wall times, the pipelined-vs-sync
-// speedup (the CI smoke asserts >= 2x), the hedged-vs-straggler tail
-// recovery, and each mode's transport counters.
+// divergence exits non-zero. The binary prints each mode's wall time and
+// transport counters, then the pipelined-vs-sync speedup (bound >= 2x) and
+// the hedged-vs-straggler tail recovery (bound > 1x), and exits non-zero
+// when one fails (ctest `bench_transport_check`, label `timing`).
 
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "timing_checks.h"
 #include "vastats/vastats.h"
 
 namespace vastats::bench {
 namespace {
-
-// Stamped into the JSON document and the committed BENCH_transport.json;
-// tools/benchdiff refuses to compare dumps whose versions disagree.
-constexpr int64_t kBenchSchemaVersion = 1;
 
 constexpr int kNumSources = 30;
 constexpr int kNumComponents = 60;
@@ -124,21 +121,7 @@ Result<ModeResult> RunMode(const Mode& mode, const SourceSet& sources,
   return out;
 }
 
-void WriteCounters(JsonWriter& out, const transport::TransportCounters& c) {
-  out.BeginObject();
-  out.KeyValue("requests", static_cast<int64_t>(c.requests));
-  out.KeyValue("responses", static_cast<int64_t>(c.responses));
-  out.KeyValue("prefetches_issued", static_cast<int64_t>(c.prefetches_issued));
-  out.KeyValue("prefetches_wasted", static_cast<int64_t>(c.prefetches_wasted));
-  out.KeyValue("hedges_fired", static_cast<int64_t>(c.hedges_fired));
-  out.KeyValue("hedges_won", static_cast<int64_t>(c.hedges_won));
-  out.KeyValue("hedges_cancelled",
-               static_cast<int64_t>(c.hedges_cancelled));
-  out.KeyValue("peak_in_flight", static_cast<int64_t>(c.peak_in_flight));
-  out.EndObject();
-}
-
-int RunTransportJson() {
+int RunTransportChecks() {
   auto sources = BuildSources();
   if (!sources.ok()) {
     std::fprintf(stderr, "%s\n", sources.status().ToString().c_str());
@@ -207,62 +190,32 @@ int RunTransportJson() {
   }
   if (!identical) return 1;
 
+  std::printf("%d draws over %d sources x %d components, %d visits\n",
+              kDraws, kNumSources, kNumComponents,
+              static_cast<int>(results[0].result.access.visits));
+  std::printf("%-34s %12s %10s %8s %12s\n", "mode", "seconds", "hedges",
+              "won", "peak_flight");
+  for (const ModeResult& result : results) {
+    std::printf("%-34s %12.6f %10llu %8llu %12llu\n", result.name.c_str(),
+                result.seconds,
+                static_cast<unsigned long long>(result.counters.hedges_fired),
+                static_cast<unsigned long long>(result.counters.hedges_won),
+                static_cast<unsigned long long>(
+                    result.counters.peak_in_flight));
+  }
   const double sync_seconds = results[1].seconds;
   const double pipelined_seconds = results[2].seconds;
   const double straggler_seconds = results[3].seconds;
   const double hedged_seconds = results[4].seconds;
-  const FaultAwareSampleResult& reference = results[0].result;
-
-  JsonWriter out;
-  out.BeginObject();
-  out.KeyValue("schema_version", kBenchSchemaVersion);
-  out.KeyValue("benchmark", "transport");
-  out.Key("workload");
-  out.BeginObject();
-  out.KeyValue("sources", static_cast<int64_t>(kNumSources));
-  out.KeyValue("components", static_cast<int64_t>(kNumComponents));
-  out.KeyValue("draws", static_cast<int64_t>(kDraws));
-  out.KeyValue("visits", static_cast<int64_t>(reference.access.visits));
-  out.KeyValue("retries", static_cast<int64_t>(reference.access.retries));
-  out.KeyValue("draws_dropped",
-               static_cast<int64_t>(reference.dropped_draws));
-  out.KeyValue("virtual_ms", reference.access.virtual_ms);
-  out.KeyValue("wall_ms_per_virtual_ms",
-               sync.endpoint.wall_ms_per_virtual_ms);
-  out.KeyValue("service_threads",
-               static_cast<int64_t>(sync.endpoint.service_threads));
-  out.EndObject();
-  out.Key("seconds");
-  out.BeginObject();
-  for (const ModeResult& result : results) {
-    out.KeyValue(result.name, result.seconds);
-  }
-  out.EndObject();
-  out.Key("speedup");
-  out.BeginObject();
-  out.KeyValue("pipelined_vs_sync", sync_seconds / pipelined_seconds);
-  out.KeyValue("hedged_vs_stragglers", straggler_seconds / hedged_seconds);
-  out.EndObject();
-  out.KeyValue("bit_identical", identical);
-  out.Key("counters");
-  out.BeginObject();
-  for (size_t i = 1; i < results.size(); ++i) {
-    out.Key(results[i].name);
-    WriteCounters(out, results[i].counters);
-  }
-  out.EndObject();
-  out.EndObject();
-  std::printf("%s\n", std::move(out).Finish().c_str());
-  return 0;
+  return ReportChecks({
+      {"pipelined/sync visit throughput", sync_seconds / pipelined_seconds,
+       Bound::kAtLeast, 2.0},
+      {"hedged/stragglers throughput", straggler_seconds / hedged_seconds,
+       Bound::kAbove, 1.0},
+  });
 }
 
 }  // namespace
 }  // namespace vastats::bench
 
-int main(int argc, char** argv) {
-  // --json is accepted for symmetry with the other harnesses; the JSON
-  // document is this binary's only mode.
-  (void)argc;
-  (void)argv;
-  return vastats::bench::RunTransportJson();
-}
+int main() { return vastats::bench::RunTransportChecks(); }

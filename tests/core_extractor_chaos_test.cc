@@ -8,6 +8,7 @@
 #include "datagen/distributions.h"
 #include "datagen/source_builder.h"
 #include "datagen/fault_model.h"
+#include "obs/metrics.h"
 #include "stats/aggregate_query.h"
 #include "test_util.h"
 #include "util/thread_pool.h"
@@ -68,16 +69,32 @@ TEST(ExtractorChaosTest, PartialOutageDegradesButExtracts) {
   const auto model = FaultModel::Create(30, fault_options);
   ASSERT_TRUE(model.ok());
 
-  ExtractorOptions options = FastOptions();
-  FaultToleranceOptions fault;
-  fault.model = &*model;
-  fault.min_draw_coverage = 0.4;
-  options.fault_tolerance = fault;
-  const auto extractor = AnswerStatisticsExtractor::Create(
-      &*set, MakeRangeQuery("chaos", AggregateKind::kAverage, 0, 60),
-      options);
-  ASSERT_TRUE(extractor.ok());
-  const auto stats = extractor->Extract();
+  const auto extract =
+      [&](const FaultModel* fault_model,
+          MetricsRegistry* metrics) -> Result<AnswerStatistics> {
+    ExtractorOptions options = FastOptions();
+    options.obs.metrics = metrics;
+    FaultToleranceOptions fault;
+    fault.model = fault_model;
+    fault.min_draw_coverage = 0.4;
+    options.fault_tolerance = fault;
+    VASTATS_ASSIGN_OR_RETURN(
+        const AnswerStatisticsExtractor extractor,
+        AnswerStatisticsExtractor::Create(
+            &*set, MakeRangeQuery("chaos", AggregateKind::kAverage, 0, 60),
+            options));
+    return extractor.Extract();
+  };
+
+  // The seam with a null model is plumbing only: every visit succeeds.
+  const auto null_seam = extract(nullptr, nullptr);
+  ASSERT_TRUE(null_seam.ok());
+  EXPECT_FALSE(null_seam->degradation.degraded);
+  EXPECT_EQ(null_seam->degradation.draws_dropped, 0);
+  EXPECT_EQ(null_seam->degradation.min_coverage, 1.0);
+
+  MetricsRegistry metrics;
+  const auto stats = extract(&*model, &metrics);
   ASSERT_TRUE(stats.ok());
 
   const DegradationReport& report = stats->degradation;
@@ -90,7 +107,17 @@ TEST(ExtractorChaosTest, PartialOutageDegradesButExtracts) {
   EXPECT_LE(report.min_coverage, report.mean_coverage);
   EXPECT_LE(report.mean_coverage, 1.0);
   EXPECT_GT(report.access.visits, 0u);
+  EXPECT_GT(report.access.retries, 0u);
   EXPECT_GT(report.access.transient_failures, 0u);
+  // The scheduled outage trips breakers open, and open breakers skip visits.
+  EXPECT_GT(report.access.SourcesOpen(), 0);
+  EXPECT_GT(report.access.breaker_open_skips, 0u);
+  const MetricsSnapshot snapshot = metrics.Snapshot();
+  ASSERT_NE(snapshot.FindCounter("extract_degraded_total"), nullptr);
+  EXPECT_EQ(snapshot.FindCounter("extract_degraded_total")->value, 1u);
+  ASSERT_NE(snapshot.FindCounter("source_access_visits_total"), nullptr);
+  EXPECT_EQ(snapshot.FindCounter("source_access_visits_total")->value,
+            report.access.visits);
   // The point estimates still came out of the usual pipeline.
   EXPECT_TRUE(std::isfinite(stats->mean.value));
   EXPECT_GT(stats->mean.ci.hi, stats->mean.ci.lo);

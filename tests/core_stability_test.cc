@@ -9,6 +9,8 @@
 #include "core/extractor.h"
 #include "datagen/distributions.h"
 #include "datagen/source_builder.h"
+#include "density/kde.h"
+#include "sampling/unis.h"
 #include "stats/descriptive.h"
 #include "test_util.h"
 #include "util/thread_pool.h"
@@ -477,6 +479,41 @@ TEST(StabilityAgreementTest, BinnedPsiIsThreadCountInvariant) {
         << threads;
     EXPECT_EQ(result->stability.psi_mode, reference->stability.psi_mode)
         << threads;
+  }
+}
+
+TEST(StabilityAgreementTest, BinnedPsiTracksExactAcrossD2SampleSweep) {
+  // uniS answers over the Table-2 D2 universe at |S| = 400, 1600 and 6400
+  // with the Silverman bandwidth: every size takes the binned path on the
+  // default 4096 grid and stays within 1e-3 of the sorted exact oracle.
+  const auto mixture = MakeD2(2);
+  SyntheticSourceSetOptions source_options;
+  source_options.num_sources = 100;
+  source_options.num_components = 500;
+  source_options.min_copies = 2;
+  source_options.max_copies = 6;
+  source_options.conflict_model = ConflictModel::kSharedBaseNoise;
+  source_options.conflict_sigma = 0.5;
+  source_options.seed = 3;
+  const SourceSet sources =
+      BuildSyntheticSourceSet(*mixture, source_options).value();
+  const auto sampler = UniSSampler::Create(
+      &sources, MakeRangeQuery("sum-d2", AggregateKind::kSum, 0, 500));
+  ASSERT_TRUE(sampler.ok());
+
+  Rng rng(29);
+  DctPlan plan;
+  for (const int size : {400, 1600, 6400}) {
+    const auto samples = sampler->Sample(size, rng);
+    ASSERT_TRUE(samples.ok());
+    const double h = SilvermanBandwidth(samples.value());
+    const auto binned = EvaluateMutualImpactPsi(samples.value(), h, {}, {},
+                                                &plan);
+    ASSERT_TRUE(binned.ok()) << size;
+    EXPECT_EQ(binned->mode, StabilityPsiMode::kBinned) << size;
+    const double exact = MutualImpactPsiSorted(samples.value(), h);
+    ASSERT_GT(exact, 0.0) << size;
+    EXPECT_LT(std::fabs(binned->psi - exact) / exact, 1e-3) << size;
   }
 }
 

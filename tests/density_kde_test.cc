@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "util/fft.h"
 #include "util/math.h"
 #include "util/random.h"
 
@@ -131,6 +132,17 @@ TEST(KdeTest, DirectAndBinnedAgree) {
   }
   // Peak height here is ~0.2; binning error should be far below it.
   EXPECT_LT(max_diff, 0.01);
+}
+
+TEST(KdeTest, ReusedPlanHitsItsCache) {
+  // One caller-held plan across repeated binned fits: the transform tables
+  // are built once and reused.
+  const std::vector<double> samples = testing::NormalSample(400, 17);
+  DctPlan plan;
+  for (int i = 0; i < 51; ++i) {
+    ASSERT_TRUE(EstimateKde(samples, KdeOptions{}, {}, &plan).ok());
+  }
+  EXPECT_GT(plan.cache_hits(), plan.cache_misses());
 }
 
 TEST(KdeTest, SeparatesWellSpacedModes) {

@@ -393,6 +393,80 @@ TEST_F(ServingServerTest, ConcurrentMixedTrafficStaysBitIdentical) {
             stats.answer_hits + static_cast<uint64_t>(kThreads));
 }
 
+TEST_F(ServingServerTest, MixedTrafficAdmitsAllHitsWarmAndGroupsTheBatch) {
+  // The traffic of bench/serving: five distinct queries, three of them on
+  // one component sequence, cycled over 16 request slots at 400 draws.
+  constexpr int kRequests = 16;
+  constexpr int kDraws = 400;
+  std::vector<QueryRequest> requests(kRequests);
+  const std::vector<AggregateQuery> distinct = {
+      MakeQuery("q1-sum", AggregateKind::kSum, {1, 2, 3}),
+      MakeQuery("q2-avg", AggregateKind::kAverage, {1, 2, 3}),
+      MakeQuery("q3-max", AggregateKind::kMax, {1, 2, 3}),
+      MakeQuery("q4-sum", AggregateKind::kSum, {3, 4}),
+      MakeQuery("q5-var", AggregateKind::kVariance, {2, 3, 4})};
+  for (int i = 0; i < kRequests; ++i) {
+    requests[static_cast<size_t>(i)].query = distinct[i % distinct.size()];
+  }
+  const auto make_server = [&](MetricsRegistry* metrics) {
+    ServingOptions options;  // default scheduler: 4 slots + 16 queued
+    options.base = FastOptions();
+    options.base.initial_sample_size = kDraws;
+    options.obs.metrics = metrics;
+    Result<std::unique_ptr<ExtractionServer>> server =
+        ExtractionServer::Create(&sources_, std::move(options));
+    EXPECT_TRUE(server.ok()) << server.status().message();
+    return std::move(server.value());
+  };
+  const auto serve_concurrently = [&](ExtractionServer& server) {
+    std::vector<std::thread> threads;
+    for (const QueryRequest& request : requests) {
+      threads.emplace_back([&server, &request] {
+        EXPECT_TRUE(server.Extract(request).ok());
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  };
+
+  MetricsRegistry metrics;
+  std::unique_ptr<ExtractionServer> server = make_server(&metrics);
+  serve_concurrently(*server);
+  const uint64_t hits_after_cold =
+      CounterValue(metrics.Snapshot(), "serving_answer_cache_hits_total");
+  serve_concurrently(*server);
+  const MetricsSnapshot snapshot = metrics.Snapshot();
+  EXPECT_EQ(CounterValue(snapshot, "serving_requests_total"), 32u);
+  EXPECT_EQ(CounterValue(snapshot, "serving_admitted_total"), 32u);
+  EXPECT_EQ(CounterValue(snapshot, "serving_rejected_total"), 0u);
+  // Once the cold pass completes every entry exists, so all 16 warm
+  // requests hit; the cold pass's own hit/miss split is racy.
+  EXPECT_EQ(CounterValue(snapshot, "serving_answer_cache_hits_total") -
+                hits_after_cold,
+            16u);
+  const HistogramSample* latency =
+      snapshot.FindHistogram("serving_request_latency_seconds");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, 32u);
+  EXPECT_GT(latency->EstimateQuantile(0.5), 0.0);
+  EXPECT_GT(latency->EstimateQuantile(0.99), 0.0);
+
+  // On a cold server the batch forms one group per component sequence; the
+  // shared group replays one 400-draw pass for its 3 members.
+  MetricsRegistry batch_metrics;
+  std::unique_ptr<ExtractionServer> batch_server =
+      make_server(&batch_metrics);
+  for (const Result<AnswerStatistics>& result :
+       batch_server->ExtractBatch(requests)) {
+    EXPECT_TRUE(result.ok()) << result.status().message();
+  }
+  const MetricsSnapshot batch_snapshot = batch_metrics.Snapshot();
+  EXPECT_EQ(CounterValue(batch_snapshot, "serving_requests_total"), 16u);
+  EXPECT_EQ(CounterValue(batch_snapshot, "serving_batch_groups_total"), 3u);
+  EXPECT_EQ(CounterValue(batch_snapshot,
+                         "serving_shared_sampling_draws_saved_total"),
+            800u);
+}
+
 TEST_F(ServingServerTest, BatchSharesOneSamplingPassBitIdentically) {
   std::unique_ptr<ExtractionServer> server = MakeServer();
 

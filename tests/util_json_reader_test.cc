@@ -43,8 +43,7 @@ TEST(JsonReaderTest, ParsesNestedStructuresInDocumentOrder) {
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   ASSERT_TRUE(doc->is_object());
   ASSERT_EQ(doc->members.size(), 4u);
-  // Members keep document order — the property benchdiff's deterministic
-  // walk depends on.
+  // Members keep document order, so a walk over them is deterministic.
   EXPECT_EQ(doc->members[0].first, "schema_version");
   EXPECT_EQ(doc->members[1].first, "phases");
   EXPECT_EQ(doc->members[2].first, "modes");
