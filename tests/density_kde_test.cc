@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -285,6 +286,13 @@ struct KdeCase {
   uint64_t seed;
   bool binned;
 };
+
+// Printed by its fields: gtest's raw-byte fallback would put the address of
+// `name` into the discovered ctest name, which then changes every run.
+void PrintTo(const KdeCase& test_case, std::ostream* os) {
+  *os << test_case.name << " n=" << test_case.n << " seed=" << test_case.seed
+      << (test_case.binned ? " binned" : " direct");
+}
 
 class KdeMassProperty : public ::testing::TestWithParam<KdeCase> {};
 

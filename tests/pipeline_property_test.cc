@@ -4,6 +4,7 @@
 // regressions no unit test sees.
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,13 +19,25 @@ namespace vastats {
 namespace {
 
 struct PipelineCase {
-  const char* name;
   AggregateKind kind;
   ConflictModel conflict;
   int num_sources;
   int num_components;
   uint64_t seed;
 };
+
+// gtest prints a parameter that has no printer as its raw bytes, and those
+// bytes become part of the discovered ctest name; print the fields instead
+// so the name is the same on every build and run.
+void PrintTo(const PipelineCase& test_case, std::ostream* os) {
+  *os << AggregateKindToString(test_case.kind)
+      << (test_case.conflict == ConflictModel::kSharedBaseNoise
+              ? " shared_noise"
+              : " redraw")
+      << " sources=" << test_case.num_sources
+      << " components=" << test_case.num_components
+      << " seed=" << test_case.seed;
+}
 
 class PipelineInvariants : public ::testing::TestWithParam<PipelineCase> {};
 
@@ -112,7 +125,7 @@ std::vector<PipelineCase> AllPipelineCases() {
     for (const ConflictModel conflict :
          {ConflictModel::kSharedBaseNoise, ConflictModel::kIndependentRedraw}) {
       cases.push_back(PipelineCase{
-          "", kind, conflict, 15 + (variant % 3) * 10, 25 + (variant % 4) * 15,
+          kind, conflict, 15 + (variant % 3) * 10, 25 + (variant % 4) * 15,
           900 + static_cast<uint64_t>(variant)});
       ++variant;
     }
