@@ -92,7 +92,8 @@ struct ExtractorOptions {
   // How the bagged density picks per-set bandwidths: kPerSet (paper
   // fidelity, one selector run per bootstrap set) or kShared (one selector
   // run on S_uniS reused across all sets — eliminates ~|S_boot| Botev runs
-  // per extraction). Bit-identical across pool widths either way.
+  // per extraction, and the bag becomes one binning pass and one DCT pair
+  // instead of one fit per set). Bit-identical across pool widths either way.
   BandwidthMode kde_bandwidth_mode = BandwidthMode::kPerSet;
   CioOptions cio;                       // theta = 0.9
   // Stability parameters: r sources removed, c_r estimator, probes used to

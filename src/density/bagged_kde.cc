@@ -4,80 +4,20 @@
 #include <cmath>
 #include <optional>
 
+#include "util/math.h"
 #include "util/thread_pool.h"
 
 namespace vastats {
+namespace {
 
-Result<BaggedKde> EstimateBaggedKde(
-    std::span<const std::vector<double>> sets,
-    std::span<const double> reference_samples, const BaggedKdeOptions& options,
-    const ObsOptions& obs, ThreadPool* pool) {
-  VASTATS_RETURN_IF_ERROR(options.Validate());
-  if (sets.empty()) {
-    return Status::InvalidArgument("EstimateBaggedKde needs >= 1 sample set");
-  }
-  ScopedSpan span(obs, "bagged_kde");
-  span.Annotate("sets", static_cast<int64_t>(sets.size()));
-  span.Annotate("pool", pool != nullptr);
-  span.Annotate("bandwidth_mode",
-                options.bandwidth_mode == BandwidthMode::kShared ? "shared"
-                                                                 : "per_set");
-  obs.GetCounter("bagged_kde_sets_total")
-      .Increment(static_cast<uint64_t>(sets.size()));
-  for (const std::vector<double>& set : sets) {
-    if (set.size() < 2) {
-      return Status::InvalidArgument(
-          "EstimateBaggedKde: every sample set needs >= 2 points");
-    }
-  }
-
-  // Common grid across all sets (unless the caller fixed one).
-  KdeOptions per_set = options.kde;
-  if (!(per_set.x_min < per_set.x_max)) {
-    double lo = sets[0][0];
-    double hi = sets[0][0];
-    for (const std::vector<double>& set : sets) {
-      const auto [min_it, max_it] = std::minmax_element(set.begin(), set.end());
-      lo = std::min(lo, *min_it);
-      hi = std::max(hi, *max_it);
-    }
-    for (const double x : reference_samples) {
-      lo = std::min(lo, x);
-      hi = std::max(hi, x);
-    }
-    double span = hi - lo;
-    if (!(span > 0.0)) span = std::max(std::fabs(lo), 1.0) * 1e-6;
-    per_set.x_min = lo - per_set.padding_fraction * span;
-    per_set.x_max = hi + per_set.padding_fraction * span;
-  }
-
-  const std::span<const double> reference =
-      reference_samples.empty() ? std::span<const double>(sets[0])
-                                : reference_samples;
-
-  // The serial fit loop and the reported-bandwidth selection share one
-  // transform plan; pooled workers each hold their own (thread-local, so
-  // pool threads reuse their tables across batches without locking). A
-  // plan_provider overrides both with caller-owned per-thread plans.
-  DctPlan local_plan;
-  DctPlan* const serial_plan =
-      options.plan_provider ? options.plan_provider() : &local_plan;
-  const uint64_t serial_evictions_before = serial_plan->evictions();
-
-  // Under kShared the selector runs once, on the calling thread, before any
-  // fan-out — so pooled and serial runs see the identical h.
-  double shared_bandwidth = 0.0;
-  if (options.bandwidth_mode == BandwidthMode::kShared) {
-    VASTATS_ASSIGN_OR_RETURN(
-        shared_bandwidth,
-        SelectBandwidth(reference, options.kde, obs, serial_plan));
-    per_set.bandwidth = shared_bandwidth;
-    obs.GetCounter("bagged_kde_shared_bandwidth_total").Increment();
-  }
-
-  // Fit every set (the fits are independent; pooled mode runs them as
-  // tasks), then accumulate in set order so pooled and serial results are
-  // bit-identical.
+// Fits every set on its own (the fits are independent; with a pool they
+// run as tasks), then averages them in set order so pooled and serial
+// results are bit-identical. The returned estimate is not yet normalized.
+Result<BaggedKde> AverageSetFits(std::span<const std::vector<double>> sets,
+                                 const KdeOptions& per_set,
+                                 const BaggedKdeOptions& options,
+                                 const ObsOptions& obs, ThreadPool* pool,
+                                 DctPlan* serial_plan) {
   std::vector<std::optional<Kde>> fits(sets.size());
   if (pool != nullptr) {
     // The Trace may only be driven from the calling thread; worker tasks
@@ -113,8 +53,8 @@ Result<BaggedKde> EstimateBaggedKde(
   }
 
   BaggedKde out{GridDensity::Create(per_set.x_min, per_set.x_max,
-                                    std::vector<double>(
-                                        options.kde.grid_size, 0.0))
+                                    std::vector<double>(per_set.grid_size,
+                                                        0.0))
                     .value(),
                 0.0,
                 {}};
@@ -124,11 +64,191 @@ Result<BaggedKde> EstimateBaggedKde(
     out.set_bandwidths.push_back(kde->bandwidth);
     out.density.AccumulateScaled(kde->density, weight);
   }
+  return out;
+}
+
+// The kShared bag in the coefficient domain. Every set is fitted with one
+// h on one grid, and each step of a binned fit (linear binning, DCT-II,
+// the Gaussian factors, DCT-III) is linear, so the mean of the per-set
+// fits is one fit of the weighted sum of the per-set histograms: one
+// binning pass over all samples and one DCT pair instead of one per set.
+//
+// The weights carry the per-set normalization. A fit's values sum to
+// 1/step, so its trapezoid mass is M_s = 1 - step/2 * (v_0 + v_{m-1}); the
+// end values are linear in the set's bins, v_0 = <g, bins>, where g is the
+// fit of the coefficients cos(pi k / 2m) (row 0 of the DCT-III), and by
+// the reflective symmetry row m-1 is g reversed. Set s then enters the
+// histogram with weight 1 / (S * n_s * M_s). The result is not yet
+// normalized. It differs from the mean of normalized per-set fits by
+// rounding, and where h sits at the 1.5-cell clamp also by the clamp at 0:
+// there the truncated Gaussian spectrum rings below zero, each per-set fit
+// clamps its own ringing and the bag clamps the sum (~1e-9 of the peak).
+Result<BaggedKde> SharedBandwidthBag(std::span<const std::vector<double>> sets,
+                                     const KdeOptions& grid, double bandwidth,
+                                     DctPlan& plan) {
+  const size_t m = grid.grid_size;
+  const double lo = grid.x_min;
+  const double range = grid.x_max - grid.x_min;
+  const double step = range / static_cast<double>(m - 1);
+  // The grid-resolution clamp every fit on this grid applies (see
+  // EstimateKde), once for all sets.
+  const double h = std::max(bandwidth, 1.5 * step);
+
+  // SmoothBinnedDct flushes every coefficient whose Gaussian factor falls
+  // below 1e-300 to zero, which covers all k with c k^2 >= 700; those need
+  // no cosine.
+  const double c = 0.5 * kPi * kPi * (h / range) * (h / range);
+  const size_t live = static_cast<size_t>(
+      std::min(static_cast<double>(m), std::sqrt(700.0 / c) + 1.0));
+  std::vector<double> end_row_coefficients(m, 0.0);
+  for (size_t k = 0; k < live; ++k) {
+    end_row_coefficients[k] = std::cos(kPi * static_cast<double>(k) /
+                                       (2.0 * static_cast<double>(m)));
+  }
+  std::vector<double> end_row;
+  VASTATS_RETURN_IF_ERROR(
+      SmoothBinnedDct(end_row_coefficients, h, range, plan, end_row));
+  // The row falls off like the kernel. Past `reach` bins it stays below
+  // 1e-15 of its peak, so a sample further than that from both edges moves
+  // a set's mass by under 1e-15 and is skipped.
+  size_t reach = m;
+  while (reach > 1 && std::fabs(end_row[reach - 1]) <= 1e-15 * end_row[0]) {
+    --reach;
+  }
+  const double near_lo = lo + static_cast<double>(reach + 1) * step;
+  const double near_hi = grid.x_max - static_cast<double>(reach + 1) * step;
+
+  std::vector<double> weighted(m, 0.0);
+  const double num_sets = static_cast<double>(sets.size());
+  for (const std::vector<double>& set : sets) {
+    double first = 0.0;
+    double last = 0.0;
+    for (const double x : set) {
+      if (x > near_lo && x < near_hi) continue;
+      const BinSplit split = LinearBinSplit(x, lo, step, m);
+      const size_t j = split.index;
+      first += (1.0 - split.frac) * end_row[j] + split.frac * end_row[j + 1];
+      last += (1.0 - split.frac) * end_row[m - 1 - j] +
+              split.frac * end_row[m - 2 - j];
+    }
+    const double n = static_cast<double>(set.size());
+    const double mass = 1.0 - 0.5 * step * (first + last) / n;
+    if (!(mass > 0.0)) {
+      return Status::FailedPrecondition("cannot normalize zero-mass density");
+    }
+    const double weight = 1.0 / (num_sets * n * mass);
+    for (const double x : set) {
+      const BinSplit split = LinearBinSplit(x, lo, step, m);
+      weighted[split.index] += weight * (1.0 - split.frac);
+      weighted[split.index + 1] += weight * split.frac;
+    }
+  }
+
+  std::vector<double> coefficients;
+  VASTATS_RETURN_IF_ERROR(plan.Dct2(weighted, coefficients));
+  std::vector<double> values;
+  VASTATS_RETURN_IF_ERROR(
+      SmoothBinnedDct(coefficients, h, range, plan, values));
+  VASTATS_ASSIGN_OR_RETURN(
+      GridDensity density,
+      GridDensity::Create(grid.x_min, grid.x_max, std::move(values)));
+  return BaggedKde{std::move(density), 0.0,
+                   std::vector<double>(sets.size(), h)};
+}
+
+}  // namespace
+
+Result<BaggedKde> EstimateBaggedKde(
+    std::span<const std::vector<double>> sets,
+    std::span<const double> reference_samples, const BaggedKdeOptions& options,
+    const ObsOptions& obs, ThreadPool* pool) {
+  VASTATS_RETURN_IF_ERROR(options.Validate());
+  if (sets.empty()) {
+    return Status::InvalidArgument("EstimateBaggedKde needs >= 1 sample set");
+  }
+  const bool shared = options.bandwidth_mode == BandwidthMode::kShared;
+  // The direct-summation oracle is not a DCT fit, so under kShared it
+  // still fits set by set.
+  const bool coefficient_domain = shared && options.kde.binned;
+  ScopedSpan span(obs, "bagged_kde");
+  span.Annotate("sets", static_cast<int64_t>(sets.size()));
+  span.Annotate("pool", pool != nullptr && !coefficient_domain);
+  span.Annotate("bandwidth_mode", shared ? "shared" : "per_set");
+  obs.GetCounter("bagged_kde_sets_total")
+      .Increment(static_cast<uint64_t>(sets.size()));
+  for (const std::vector<double>& set : sets) {
+    if (set.size() < 2) {
+      return Status::InvalidArgument(
+          "EstimateBaggedKde: every sample set needs >= 2 points");
+    }
+  }
+  // A NaN would reach LinearBinning's double->size_t cast (UB) and poison
+  // the selector, so reject non-finite input before either runs.
+  auto all_finite = [](std::span<const double> samples) {
+    return std::all_of(samples.begin(), samples.end(),
+                       [](double x) { return std::isfinite(x); });
+  };
+  if (!all_finite(reference_samples) ||
+      !std::all_of(sets.begin(), sets.end(), all_finite)) {
+    return Status::InvalidArgument(
+        "EstimateBaggedKde samples must be finite");
+  }
+
+  // Common grid across all sets (unless the caller fixed one).
+  KdeOptions per_set = options.kde;
+  if (!(per_set.x_min < per_set.x_max)) {
+    double lo = sets[0][0];
+    double hi = sets[0][0];
+    for (const std::vector<double>& set : sets) {
+      const auto [min_it, max_it] = std::minmax_element(set.begin(), set.end());
+      lo = std::min(lo, *min_it);
+      hi = std::max(hi, *max_it);
+    }
+    for (const double x : reference_samples) {
+      lo = std::min(lo, x);
+      hi = std::max(hi, x);
+    }
+    double span = hi - lo;
+    if (!(span > 0.0)) span = std::max(std::fabs(lo), 1.0) * 1e-6;
+    per_set.x_min = lo - per_set.padding_fraction * span;
+    per_set.x_max = hi + per_set.padding_fraction * span;
+  }
+
+  const std::span<const double> reference =
+      reference_samples.empty() ? std::span<const double>(sets[0])
+                                : reference_samples;
+
+  // The calling thread's plan serves the bandwidth selection and every
+  // transform that runs on this thread; pooled per-set workers each hold
+  // their own (thread-local, so pool threads reuse their tables across
+  // batches without locking). A plan_provider overrides both with
+  // caller-owned per-thread plans.
+  DctPlan local_plan;
+  DctPlan* const serial_plan =
+      options.plan_provider ? options.plan_provider() : &local_plan;
+  const uint64_t serial_evictions_before = serial_plan->evictions();
+
+  // Under kShared the selector runs once, on the calling thread (a manual
+  // bandwidth, e.g. a cached one, is returned verbatim).
+  double shared_bandwidth = 0.0;
+  if (shared) {
+    VASTATS_ASSIGN_OR_RETURN(
+        shared_bandwidth,
+        SelectBandwidth(reference, options.kde, obs, serial_plan));
+    per_set.bandwidth = shared_bandwidth;
+    obs.GetCounter("bagged_kde_shared_bandwidth_total").Increment();
+  }
+
+  VASTATS_ASSIGN_OR_RETURN(
+      BaggedKde out,
+      coefficient_domain
+          ? SharedBandwidthBag(sets, per_set, shared_bandwidth, *serial_plan)
+          : AverageSetFits(sets, per_set, options, obs, pool, serial_plan));
   VASTATS_RETURN_IF_ERROR(out.density.Normalize());
 
   // Report the bandwidth of the reference sample (or the first set) — under
   // kShared it is already selected, so no extra selector run is spent.
-  if (options.bandwidth_mode == BandwidthMode::kShared) {
+  if (shared) {
     out.bandwidth = shared_bandwidth;
   } else {
     VASTATS_ASSIGN_OR_RETURN(

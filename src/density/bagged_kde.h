@@ -20,22 +20,29 @@ namespace vastats {
 class ThreadPool;
 
 // How the per-set bandwidths of a bagged estimate are chosen.
-//  * kPerSet: every bootstrap set runs its own selector — highest fidelity
-//    to the paper's procedure, and the selector cost scales with the number
-//    of sets.
+//  * kPerSet: every bootstrap set runs its own selector and is fitted on
+//    its own (pool tasks when a pool is given) — highest fidelity to the
+//    paper's procedure; the selector and fit costs scale with the number of
+//    sets.
 //  * kShared: the selector runs once on the reference sample and the
-//    resulting h is reused for every set (each fit still applies its own
-//    grid-resolution clamp). Eliminates ~|S_boot| selector runs per
-//    extraction; the bagged density is marginally smoother because the
-//    resampling noise of per-set selections is gone.
+//    resulting h, after the 1.5-cell grid clamp, is used for every set.
+//    With one h on one grid the bag is computed in the coefficient domain:
+//    one binning pass over all sets, one DCT-II and one DCT-III (plus one
+//    DCT-III for the per-set normalization weights), serial on the calling
+//    thread. It equals the mean of the per-set fits to rounding (~1e-13 of
+//    the peak; ~1e-9 when h sits at the clamp, where each fit would clamp
+//    its own below-zero ringing). The bagged density is marginally
+//    smoother than kPerSet's because the resampling noise of per-set
+//    selections is gone.
 // Both modes are bit-identical across pool widths (serial included).
 enum class BandwidthMode { kPerSet, kShared };
 
 struct BaggedKdeOptions {
   KdeOptions kde;
   BandwidthMode bandwidth_mode = BandwidthMode::kPerSet;
-  // Optional transform-plan provider. When set, every fit asks it for the
-  // DctPlan of the *calling* thread (pooled workers included), so a serving
+  // Optional transform-plan provider. When set, the calling thread asks it
+  // for its DctPlan once, before its first transform, and every pooled
+  // kPerSet fit asks it for the plan of the worker thread, so a serving
   // layer can keep one bounded plan per thread alive across extractions
   // instead of the default function-local / thread_local plans. Providers
   // must hand out one plan per thread — plans are unsynchronized — and only
@@ -55,21 +62,28 @@ struct BaggedKde {
   std::vector<double> set_bandwidths;
 };
 
-// Estimates one KDE per sample set and averages them point-wise on a grid
-// spanning all sets. `reference_samples` (typically the original uniS
-// sample) provides the reported bandwidth (and, under kShared, the shared
-// per-set bandwidth); it may be empty, in which case the first set is used.
-// Any fixed range in `options.kde` is honored. `obs` (optional) records a
-// `bagged_kde` span with one `kde_estimate` child per set, plus the set
-// counter.
+// Estimates the density of each sample set and averages them point-wise on
+// a grid spanning all sets. `reference_samples` (typically the original
+// uniS sample) provides the reported bandwidth (and, under kShared, the
+// shared per-set bandwidth); it may be empty, in which case the first set
+// is used. Any fixed range in `options.kde` is honored. Non-finite samples
+// in any set or in the reference are rejected. `obs` (optional) records a
+// `bagged_kde` span and the `bagged_kde_sets_total` counter (one per set).
 //
-// With a `pool`, the per-set fits run as pool tasks and the results are
-// accumulated in set order afterwards, so the estimate is bit-identical to
-// the serial path. Worker tasks cannot drive the single-threaded Trace:
-// in pooled mode the per-set fits report metrics only (no `kde_estimate`
-// child spans), and the `bagged_kde` span is annotated `pool=true`. Every
-// worker (and the serial loop) holds its own DctPlan, so the hot binned
-// path reuses its transform tables without any locking.
+// kPerSet (and kShared on the direct-summation path) calls EstimateKde per
+// set, each fit a `kde_estimate` child span. With a `pool`, those fits run
+// as pool tasks and are accumulated in set order afterwards, so the
+// estimate is bit-identical to the serial path. Worker tasks cannot drive
+// the single-threaded Trace: pooled fits report metrics only (no
+// `kde_estimate` child spans), and the `bagged_kde` span is annotated
+// `pool=true`. Every worker holds its own DctPlan, so the binned fits reuse
+// their transform tables without any locking.
+//
+// kShared on the binned path runs no per-set fits: the bandwidth clamp and
+// the clamp at 0 act once on the bag, not per set, and there are no
+// `kde_estimate` child spans and no pool fan-out (`pool` is unused). Every
+// transform runs on the calling thread, with the plan it takes from
+// `plan_provider` (asked once, before the first transform) or a local one.
 Result<BaggedKde> EstimateBaggedKde(
     std::span<const std::vector<double>> sets,
     std::span<const double> reference_samples, const BaggedKdeOptions& options,

@@ -321,15 +321,44 @@ std::vector<double> LinearBinning(std::span<const double> samples, double lo,
   std::vector<double> bins(grid_size, 0.0);
   const double step = (hi - lo) / static_cast<double>(grid_size - 1);
   for (const double x : samples) {
-    double pos = (x - lo) / step;
-    pos = std::clamp(pos, 0.0, static_cast<double>(grid_size - 1));
-    const size_t idx =
-        std::min(static_cast<size_t>(pos), grid_size - 2);
-    const double frac = pos - static_cast<double>(idx);
-    bins[idx] += 1.0 - frac;
-    bins[idx + 1] += frac;
+    const BinSplit split = LinearBinSplit(x, lo, step, grid_size);
+    bins[split.index] += 1.0 - split.frac;
+    bins[split.index + 1] += split.frac;
   }
   return bins;
+}
+
+Status SmoothBinnedDct(std::vector<double>& dct, double h, double range,
+                       DctPlan& plan, std::vector<double>& values) {
+  const size_t m = dct.size();
+  const double t = (h / range) * (h / range);
+  // exp(-0.5 k^2 pi^2 t) by the same two-factor recurrence as the Botev
+  // stage sums; once the factor underflows the remaining coefficients
+  // are exact zeros.
+  const double c = 0.5 * kPi * kPi * t;
+  const double q2 = std::exp(-2.0 * c);
+  double e = 1.0;                 // exp(-c * 0^2)
+  double gap = std::exp(-c);      // exp(-c * 1) = e_1 / e_0
+  for (size_t k = 0; k < m; ++k) {
+    dct[k] *= e;
+    e *= gap;
+    gap *= q2;
+    if (e < 1e-300) {
+      std::fill(dct.begin() + static_cast<ptrdiff_t>(k) + 1, dct.end(), 0.0);
+      break;
+    }
+  }
+  std::vector<double> smooth;
+  VASTATS_RETURN_IF_ERROR(plan.Dct3(dct, smooth));
+  // Dct3(Dct2(x)) = (m/2) x, so masses are (2/m) * smooth; densities
+  // divide by the bin width range/(m-1).
+  const double scale = 2.0 / static_cast<double>(m) *
+                       static_cast<double>(m - 1) / range;
+  values.resize(m);
+  for (size_t i = 0; i < m; ++i) {
+    values[i] = std::max(0.0, smooth[i] * scale);
+  }
+  return Status::Ok();
 }
 
 Status KdeOptions::Validate() const {
@@ -558,34 +587,7 @@ Result<Kde> EstimateKde(std::span<const double> samples,
       for (double& b : bins) b /= n_dbl;
       VASTATS_RETURN_IF_ERROR(dct_plan.Dct2(bins, dct));
     }
-    const double r = hi - lo;
-    const double t = (h / r) * (h / r);
-    // exp(-0.5 k^2 pi^2 t) by the same two-factor recurrence as the Botev
-    // stage sums; once the factor underflows the remaining coefficients
-    // are exact zeros.
-    const double c = 0.5 * kPi * kPi * t;
-    const double q2 = std::exp(-2.0 * c);
-    double e = 1.0;                 // exp(-c * 0^2)
-    double gap = std::exp(-c);      // exp(-c * 1) = e_1 / e_0
-    for (size_t k = 0; k < m; ++k) {
-      dct[k] *= e;
-      e *= gap;
-      gap *= q2;
-      if (e < 1e-300) {
-        std::fill(dct.begin() + static_cast<ptrdiff_t>(k) + 1, dct.end(),
-                  0.0);
-        break;
-      }
-    }
-    std::vector<double> smooth;
-    VASTATS_RETURN_IF_ERROR(dct_plan.Dct3(dct, smooth));
-    // Dct3(Dct2(x)) = (m/2) x, so masses are (2/m) * smooth; densities
-    // divide by the bin width r/(m-1).
-    const double scale = 2.0 / static_cast<double>(m) *
-                         static_cast<double>(m - 1) / r;
-    for (size_t i = 0; i < m; ++i) {
-      values[i] = std::max(0.0, smooth[i] * scale);
-    }
+    VASTATS_RETURN_IF_ERROR(SmoothBinnedDct(dct, h, hi - lo, dct_plan, values));
   }
 
   obs.GetCounter("kde_dct_plan_hits_total")

@@ -25,6 +25,7 @@
 #ifndef VASTATS_DENSITY_KDE_H_
 #define VASTATS_DENSITY_KDE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -75,6 +76,34 @@ struct Kde {
 // stability Psi (core/stability.h).
 std::vector<double> LinearBinning(std::span<const double> samples, double lo,
                                   double hi, size_t grid_size);
+
+// Where LinearBinning puts one sample: weight 1 - frac on bin `index` and
+// frac on bin `index + 1`.
+struct BinSplit {
+  size_t index = 0;
+  double frac = 0.0;
+};
+
+// The split LinearBinning applies to `x` on the grid starting at `lo` with
+// spacing `step` = (hi - lo) / (grid_size - 1), for callers that weight
+// the samples of several sets into one histogram.
+inline BinSplit LinearBinSplit(double x, double lo, double step,
+                               size_t grid_size) {
+  const double pos =
+      std::clamp((x - lo) / step, 0.0, static_cast<double>(grid_size - 1));
+  const size_t index = std::min(static_cast<size_t>(pos), grid_size - 2);
+  return {index, pos - static_cast<double>(index)};
+}
+
+// The smoothing step of the binned path. `dct` holds the DCT-II
+// coefficients of linearly binned probability mass on a grid of
+// dct.size() points spanning `range`; they are multiplied in place by the
+// Gaussian factors exp(-k^2 pi^2 (h/range)^2 / 2) (diffusion to bandwidth
+// h with reflective boundaries), transformed back by a DCT-III, and
+// written to `values` as densities clamped at 0 but not normalized.
+// Apart from the clamp the map from `dct` to `values` is linear.
+Status SmoothBinnedDct(std::vector<double>& dct, double h, double range,
+                       DctPlan& plan, std::vector<double>& values);
 
 // Rule-of-thumb selectors. Return a small positive floor for degenerate
 // (constant) samples so downstream code stays finite.

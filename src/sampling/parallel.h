@@ -19,8 +19,9 @@
 //  * options.pool == nullptr — legacy thread-per-call dispatch
 //    (options.num_threads workers are spawned and joined; <= 1 resolved
 //    workers runs inline on the calling thread).
-// Both modes produce identical samples; `bench/micro_pipeline --json`
-// compares their dispatch cost.
+// Both modes produce identical samples; `bench/micro_pipeline`'s
+// BM_ParallelSamplePool and BM_ParallelSampleThreadPerCall compare their
+// dispatch cost.
 
 #ifndef VASTATS_SAMPLING_PARALLEL_H_
 #define VASTATS_SAMPLING_PARALLEL_H_

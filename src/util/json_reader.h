@@ -1,7 +1,6 @@
 // Minimal recursive-descent JSON parser, the read-side complement of
-// util/json_writer. Grown for tools/benchdiff (comparing bench `--json`
-// dumps against committed baselines) and for schema-checking exported
-// Chrome traces in tests; it is not a general-purpose JSON library.
+// util/json_writer, used to schema-check the exported Chrome traces and
+// metric snapshots in tests; it is not a general-purpose JSON library.
 //
 // Scope: the full JSON value grammar (RFC 8259) minus surrogate-pair
 // decoding — `\uXXXX` escapes outside the BMP are kept as two literal

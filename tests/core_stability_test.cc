@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -174,6 +175,13 @@ struct PsiAgreementCase {
   double bandwidth;
   double rel_tolerance;
 };
+
+// Printed by its fields: the raw-byte fallback would put the addresses of
+// `name` and `make` into the discovered ctest name.
+void PrintTo(const PsiAgreementCase& test_case, std::ostream* os) {
+  *os << test_case.name << " h=" << test_case.bandwidth
+      << " rel_tolerance=" << test_case.rel_tolerance;
+}
 
 class PsiBinnedExactAgreement
     : public ::testing::TestWithParam<PsiAgreementCase> {};

@@ -1,9 +1,16 @@
 #include "density/bagged_kde.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "stats/bootstrap.h"
 #include "stats/descriptive.h"
 #include "test_util.h"
@@ -174,6 +181,184 @@ TEST(BaggedKdeTest, PooledFitsAreBitIdenticalToSerial) {
       EXPECT_EQ(pooled->density.values()[i], serial->density.values()[i]);
     }
   }
+}
+
+// ---- kShared coefficient-domain agreement: the single-DCT-pair bag
+// against its definition, the mean of per-set EstimateKde fits, each on the
+// bag's common grid with the bag's h and each normalized on its own. Over
+// the four sample shapes of the binned-vs-direct matrix and three
+// bandwidths (the selected h, 8x and 40x it), only the clamp at 0 and
+// rounding separate them, and two regimes show:
+//  * h above the 1.5-cell clamp: the fits never dip below zero by more
+//    than rounding, and the two agree to 1e-12 of the peak (measured
+//    1e-13 at h = 2 cells, ~3e-15 at 20 cells and more);
+//  * h at the clamp (near-discrete data at the selected h): the Gaussian's
+//    spectrum is cut at the grid's Nyquist frequency while still at 1.5e-5,
+//    so every per-set fit rings below zero (to ~4e-7 of its peak). Each
+//    fit clamps its own ringing, the bag clamps the sum once, and the two
+//    differ by ~8e-10 of the peak; the bound is 1e-8.
+struct SharedAgreementCase {
+  const char* shape;
+  std::vector<double> (*make)(uint64_t seed);
+  double h_scale;  // 1 = the selector's h; otherwise a manual multiple
+};
+
+void PrintTo(const SharedAgreementCase& test_case, std::ostream* os) {
+  *os << test_case.shape << " h_scale=" << test_case.h_scale;
+}
+
+std::vector<SharedAgreementCase> SharedAgreementCases() {
+  std::vector<SharedAgreementCase> cases;
+  for (const double h_scale : {1.0, 8.0, 40.0}) {
+    cases.push_back({"unimodal", testing::UnimodalSample, h_scale});
+    cases.push_back({"bimodal", testing::BimodalAgreementSample, h_scale});
+    cases.push_back({"heavy_tailed", testing::HeavyTailSample, h_scale});
+    cases.push_back({"near_discrete", testing::NearDiscreteSample, h_scale});
+  }
+  return cases;
+}
+
+class BaggedKdeSharedCoefficientAgreement
+    : public ::testing::TestWithParam<SharedAgreementCase> {};
+
+TEST_P(BaggedKdeSharedCoefficientAgreement, MatchesMeanOfPerSetFits) {
+  const SharedAgreementCase& test_case = GetParam();
+  const std::vector<double> data = test_case.make(2026);
+  const auto sets = MakeSets(data, 50, 27);
+  BaggedKdeOptions options;
+  options.bandwidth_mode = BandwidthMode::kShared;
+  if (test_case.h_scale != 1.0) {
+    const auto selected = SelectBandwidth(data, options.kde);
+    ASSERT_TRUE(selected.ok());
+    options.kde.bandwidth = test_case.h_scale * *selected;
+  }
+  const auto bag = EstimateBaggedKde(sets, data, options);
+  ASSERT_TRUE(bag.ok()) << bag.status().ToString();
+  ASSERT_EQ(bag->set_bandwidths.size(), sets.size());
+  const double h = bag->set_bandwidths[0];
+  for (const double set_h : bag->set_bandwidths) EXPECT_EQ(set_h, h);
+
+  KdeOptions fixed = options.kde;
+  fixed.bandwidth = h;
+  fixed.x_min = bag->density.x_min();
+  fixed.x_max = bag->density.x_max();
+  const size_t m = bag->density.size();
+  std::vector<double> mean(m, 0.0);
+  for (const std::vector<double>& set : sets) {
+    const auto fit = EstimateKde(set, fixed);
+    ASSERT_TRUE(fit.ok());
+    ASSERT_EQ(fit->bandwidth, h);
+    ASSERT_EQ(fit->density.size(), m);
+    for (size_t i = 0; i < m; ++i) {
+      mean[i] += fit->density.values()[i] / static_cast<double>(sets.size());
+    }
+  }
+  double peak = 0.0;
+  double l_inf = 0.0;
+  for (size_t i = 0; i < m; ++i) {
+    peak = std::max(peak, mean[i]);
+    l_inf = std::max(l_inf, std::fabs(mean[i] - bag->density.values()[i]));
+  }
+  const double cell = (fixed.x_max - fixed.x_min) / static_cast<double>(m - 1);
+  const bool at_clamp = h == 1.5 * cell;
+  EXPECT_LE(l_inf, (at_clamp ? 1e-8 : 1e-12) * peak)
+      << "h=" << h << " peak=" << peak;
+
+  // Serial by construction, so a pool of any width changes no bit.
+  for (const int width : {1, 4}) {
+    ThreadPool pool(ThreadPoolOptions{.num_threads = width});
+    const auto pooled = EstimateBaggedKde(sets, data, options, {}, &pool);
+    ASSERT_TRUE(pooled.ok()) << "width " << width;
+    EXPECT_EQ(pooled->bandwidth, bag->bandwidth) << "width " << width;
+    EXPECT_EQ(pooled->set_bandwidths, bag->set_bandwidths) << "width " << width;
+    ASSERT_TRUE(std::equal(pooled->density.values().begin(),
+                           pooled->density.values().end(),
+                           bag->density.values().begin(),
+                           bag->density.values().end()))
+        << "width " << width;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShapesAndBandwidths, BaggedKdeSharedCoefficientAgreement,
+    ::testing::ValuesIn(SharedAgreementCases()),
+    [](const ::testing::TestParamInfo<SharedAgreementCase>& info) {
+      return std::string(info.param.shape) + "_h" +
+             std::to_string(static_cast<int>(info.param.h_scale));
+    });
+
+BaggedKdeOptions SharedOptions() {
+  BaggedKdeOptions options;
+  options.bandwidth_mode = BandwidthMode::kShared;
+  return options;
+}
+
+TEST(BaggedKdeSharedTest, RejectsNonFiniteSamples) {
+  const std::vector<double> data = testing::NormalSample(200, 31);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    auto sets = MakeSets(data, 5, 32);
+    sets[3][7] = bad;
+    const auto in_set = EstimateBaggedKde(sets, data, SharedOptions());
+    ASSERT_FALSE(in_set.ok());
+    EXPECT_EQ(in_set.status().code(), StatusCode::kInvalidArgument);
+
+    std::vector<double> reference = data;
+    reference[0] = bad;
+    const auto in_reference =
+        EstimateBaggedKde(MakeSets(data, 5, 32), reference, SharedOptions());
+    ASSERT_FALSE(in_reference.ok());
+    EXPECT_EQ(in_reference.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(BaggedKdeSharedTest, AsksThePlanProviderBeforeAnyTransform) {
+  // One DCT-II and two DCT-IIIs for the bag, plus the selector's DCT-II
+  // unless the bandwidth is manual (a bandwidth-cache hit). All of them
+  // run on the provider's plan, which is requested once, before the first.
+  const std::vector<double> data = testing::NormalSample(300, 33, 1.0, 2.0);
+  const auto sets = MakeSets(data, 20, 34);
+  for (const double manual_bandwidth : {0.0, 0.3}) {
+    BaggedKdeOptions options = SharedOptions();
+    options.kde.bandwidth = manual_bandwidth;
+    DctPlan plan;
+    int requests = 0;
+    uint64_t transforms_before_first_request = 0;
+    options.plan_provider = [&]() -> DctPlan* {
+      if (requests++ == 0) {
+        transforms_before_first_request =
+            plan.cache_hits() + plan.cache_misses();
+      }
+      return &plan;
+    };
+    ThreadPool pool(ThreadPoolOptions{.num_threads = 4});
+    const auto bag = EstimateBaggedKde(sets, data, options, {}, &pool);
+    ASSERT_TRUE(bag.ok()) << "manual h " << manual_bandwidth;
+    EXPECT_EQ(requests, 1) << "manual h " << manual_bandwidth;
+    EXPECT_EQ(transforms_before_first_request, 0u);
+    EXPECT_EQ(plan.cache_hits() + plan.cache_misses(),
+              manual_bandwidth > 0.0 ? 3u : 4u)
+        << "manual h " << manual_bandwidth;
+  }
+}
+
+TEST(BaggedKdeSharedTest, CountsEverySetAndRunsNoPerSetFits) {
+  const std::vector<double> data = testing::NormalSample(250, 35);
+  const auto sets = MakeSets(data, 17, 36);
+  Trace trace;
+  MetricsRegistry metrics;
+  ObsOptions obs;
+  obs.trace = &trace;
+  obs.metrics = &metrics;
+  ThreadPool pool(ThreadPoolOptions{.num_threads = 2});
+  const auto bag = EstimateBaggedKde(sets, data, SharedOptions(), obs, &pool);
+  ASSERT_TRUE(bag.ok());
+  const MetricsSnapshot snapshot = metrics.Snapshot();
+  ASSERT_NE(snapshot.FindCounter("bagged_kde_sets_total"), nullptr);
+  EXPECT_EQ(snapshot.FindCounter("bagged_kde_sets_total")->value, 17u);
+  EXPECT_EQ(trace.CountOf("bagged_kde"), 1);
+  EXPECT_EQ(trace.CountOf("kde_estimate"), 0);
+  EXPECT_EQ(snapshot.FindCounter("thread_pool_tasks_total"), nullptr);
 }
 
 }  // namespace

@@ -236,6 +236,13 @@ struct AgreementCase {
   double l1;
 };
 
+// Printed by its fields: the raw-byte fallback would put the addresses of
+// `name` and `make` into the discovered ctest name.
+void PrintTo(const AgreementCase& test_case, std::ostream* os) {
+  *os << test_case.name << " linf_frac_of_peak="
+      << test_case.linf_frac_of_peak << " l1=" << test_case.l1;
+}
+
 class KdeBinnedDirectAgreement
     : public ::testing::TestWithParam<AgreementCase> {};
 
