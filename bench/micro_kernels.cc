@@ -1,6 +1,7 @@
 // Microbenchmarks for the low-level kernels: FFT/DCT, KDE (direct vs
-// binned, bandwidth selectors), distances, and the mutual impact factor Psi
-// that drives the analytic stability scores.
+// binned, bandwidth selectors, the bagged KDE in both bandwidth modes),
+// distances, and the mutual impact factor Psi that drives the analytic
+// stability scores.
 
 #include <benchmark/benchmark.h>
 
@@ -69,6 +70,51 @@ void BM_BotevBandwidth(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BotevBandwidth)->Range(100, 3200);
+
+// The bagged KDE at the paper's defaults: 50 bootstrap sets of 400 draws on
+// a 4096-point grid, Botev bandwidths. BM_BaggedKdeOneFit is one
+// EstimateKde fit of one of those sets on the bag's grid, the unit of the
+// "bag <= 2x one fit" target: read the ratio of each bag to it.
+std::vector<std::vector<double>> BagSets() {
+  Rng rng(7);
+  BootstrapOptions options;
+  options.num_sets = 50;
+  return BootstrapSets(Samples(400), options, rng).value();
+}
+
+void RunBaggedKde(benchmark::State& state, BandwidthMode mode) {
+  const std::vector<double> reference = Samples(400);
+  const std::vector<std::vector<double>> sets = BagSets();
+  BaggedKdeOptions options;
+  options.bandwidth_mode = mode;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EstimateBaggedKde(sets, reference, options));
+  }
+}
+
+void BM_BaggedKdePerSet(benchmark::State& state) {
+  RunBaggedKde(state, BandwidthMode::kPerSet);
+}
+BENCHMARK(BM_BaggedKdePerSet);
+
+void BM_BaggedKdeShared(benchmark::State& state) {
+  RunBaggedKde(state, BandwidthMode::kShared);
+}
+BENCHMARK(BM_BaggedKdeShared);
+
+void BM_BaggedKdeOneFit(benchmark::State& state) {
+  const std::vector<std::vector<double>> sets = BagSets();
+  const BaggedKde bag =
+      EstimateBaggedKde(sets, Samples(400), BaggedKdeOptions{}).value();
+  KdeOptions options;
+  options.x_min = bag.density.x_min();
+  options.x_max = bag.density.x_max();
+  DctPlan plan;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EstimateKde(sets[0], options, {}, &plan));
+  }
+}
+BENCHMARK(BM_BaggedKdeOneFit);
 
 void BM_MutualImpactPsiBinned(benchmark::State& state) {
   const std::vector<double> samples = Samples(static_cast<int>(state.range(0)));

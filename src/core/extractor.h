@@ -90,7 +90,8 @@ struct ExtractorOptions {
   BagAggregator bag_aggregator = BagAggregator::kMean;
   KdeOptions kde;                       // 4096-point grid, Botev bandwidth
   // How the bagged density picks per-set bandwidths: kPerSet (paper
-  // fidelity, one selector run per bootstrap set) or kShared (one selector
+  // fidelity, one selector run per bootstrap set; the sets' smoothed
+  // spectra are summed and transformed back once) or kShared (one selector
   // run on S_uniS reused across all sets — eliminates ~|S_boot| Botev runs
   // per extraction, and the bag becomes one binning pass and one DCT pair
   // instead of one fit per set). Bit-identical across pool widths either way.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <optional>
 
 #include "util/math.h"
@@ -10,61 +11,147 @@
 namespace vastats {
 namespace {
 
-// Fits every set on its own (the fits are independent; with a pool they
-// run as tasks), then averages them in set order so pooled and serial
-// results are bit-identical. The returned estimate is not yet normalized.
+// Runs `fit_set(s, set_obs, plan)` for every set: in set order on the
+// calling thread with `serial_plan`, or, with a pool, as pool tasks that
+// each take the plan of their worker thread. The Trace may only be driven
+// from the calling thread, so worker tasks report through the sharded
+// metrics registry only. `fit_set` writes its result to slot s, and the
+// caller combines the slots in set order, so pooled and serial results are
+// bit-identical.
+Status ForEachSet(
+    size_t num_sets, const BaggedKdeOptions& options, const ObsOptions& obs,
+    ThreadPool* pool, DctPlan& serial_plan,
+    const std::function<Status(size_t, const ObsOptions&, DctPlan&)>&
+        fit_set) {
+  if (pool == nullptr) {
+    for (size_t s = 0; s < num_sets; ++s) {
+      VASTATS_RETURN_IF_ERROR(fit_set(s, obs, serial_plan));
+    }
+    return Status::Ok();
+  }
+  ObsOptions worker_obs;
+  worker_obs.metrics = obs.metrics;
+  auto task = [&](int s) -> Status {
+    // Thread-confined plan cache; never shared across workers, so the
+    // mutable static storage cannot leak state between extractions. A
+    // plan_provider substitutes its own per-thread plan.
+    thread_local DctPlan worker_plan;  // lint-invariants: allow(A5)
+    DctPlan* const plan =
+        options.plan_provider ? options.plan_provider() : &worker_plan;
+    const uint64_t evictions_before = plan->evictions();
+    VASTATS_RETURN_IF_ERROR(fit_set(static_cast<size_t>(s), worker_obs, *plan));
+    if (plan->evictions() > evictions_before) {
+      worker_obs.GetCounter("dct_plan_evictions_total")
+          .Increment(plan->evictions() - evictions_before);
+    }
+    return Status::Ok();
+  };
+  PoolMetricsObserver pool_observer(obs);
+  return pool->ParallelFor(static_cast<int>(num_sets), task, &pool_observer);
+}
+
+// The direct-summation oracle: fits every set with EstimateKde on the
+// bag's fixed grid and averages the normalized fits point by point. The
+// returned estimate is not yet normalized.
 Result<BaggedKde> AverageSetFits(std::span<const std::vector<double>> sets,
                                  const KdeOptions& per_set,
                                  const BaggedKdeOptions& options,
                                  const ObsOptions& obs, ThreadPool* pool,
-                                 DctPlan* serial_plan) {
+                                 DctPlan& serial_plan) {
   std::vector<std::optional<Kde>> fits(sets.size());
-  if (pool != nullptr) {
-    // The Trace may only be driven from the calling thread; worker tasks
-    // report through the sharded metrics registry only.
-    ObsOptions worker_obs;
-    worker_obs.metrics = obs.metrics;
-    auto task = [&](int s) -> Status {
-      // Thread-confined plan cache; never shared across workers, so the
-      // mutable static storage cannot leak state between extractions. A
-      // plan_provider substitutes its own per-thread plan.
-      thread_local DctPlan worker_plan;  // lint-invariants: allow(A5)
-      DctPlan* const plan =
-          options.plan_provider ? options.plan_provider() : &worker_plan;
-      const uint64_t evictions_before = plan->evictions();
-      VASTATS_ASSIGN_OR_RETURN(
-          fits[static_cast<size_t>(s)],
-          EstimateKde(sets[static_cast<size_t>(s)], per_set, worker_obs,
-                      plan));
-      if (plan->evictions() > evictions_before) {
-        worker_obs.GetCounter("dct_plan_evictions_total")
-            .Increment(plan->evictions() - evictions_before);
-      }
-      return Status::Ok();
-    };
-    PoolMetricsObserver pool_observer(obs);
-    VASTATS_RETURN_IF_ERROR(pool->ParallelFor(static_cast<int>(sets.size()),
-                                              task, &pool_observer));
-  } else {
-    for (size_t s = 0; s < sets.size(); ++s) {
-      VASTATS_ASSIGN_OR_RETURN(fits[s],
-                               EstimateKde(sets[s], per_set, obs, serial_plan));
-    }
-  }
+  VASTATS_RETURN_IF_ERROR(ForEachSet(
+      sets.size(), options, obs, pool, serial_plan,
+      [&](size_t s, const ObsOptions& set_obs, DctPlan& plan) -> Status {
+        VASTATS_ASSIGN_OR_RETURN(fits[s],
+                                 EstimateKde(sets[s], per_set, set_obs, &plan));
+        return Status::Ok();
+      }));
 
-  BaggedKde out{GridDensity::Create(per_set.x_min, per_set.x_max,
-                                    std::vector<double>(per_set.grid_size,
-                                                        0.0))
-                    .value(),
-                0.0,
-                {}};
-  out.set_bandwidths.reserve(sets.size());
+  std::vector<double> values(per_set.grid_size, 0.0);
+  std::vector<double> set_bandwidths;
+  set_bandwidths.reserve(sets.size());
   const double weight = 1.0 / static_cast<double>(sets.size());
   for (const std::optional<Kde>& kde : fits) {
-    out.set_bandwidths.push_back(kde->bandwidth);
-    out.density.AccumulateScaled(kde->density, weight);
+    set_bandwidths.push_back(kde->bandwidth);
+    const std::span<const double> fit = kde->density.values();
+    for (size_t i = 0; i < values.size(); ++i) values[i] += weight * fit[i];
   }
-  return out;
+  VASTATS_ASSIGN_OR_RETURN(
+      GridDensity density,
+      GridDensity::Create(per_set.x_min, per_set.x_max, std::move(values)));
+  return BaggedKde{std::move(density), 0.0, std::move(set_bandwidths)};
+}
+
+// The kPerSet bag in the coefficient domain. Every set keeps its own
+// binning, DCT-II, bandwidth selection, clamp and damping (PrepareKdeFit,
+// the stage EstimateKde runs, so each h is the one EstimateKde selects).
+// The DCT-III that follows is linear, so the mean of the per-set fits is
+// the DCT-III of the weighted sum of their damped coefficients: one
+// DCT-III, one clamp at 0 and one normalization per bag instead of one
+// each per set.
+//
+// The weights carry the per-set normalization. Set s enters with weight
+// 1 / (S * M_s), where M_s is its fit's trapezoid mass. For damped
+// coefficients d, the DCT-III values sum to (m/2) d_0 and its end values
+// are v_0 = sum_k r_k d_k and v_{m-1} = sum_k (-1)^k r_k d_k, with
+// r_0 = 1/2 and r_k = cos(pi k / 2m). The densities are the values times
+// `scale` = 2 (m-1) / (m range), and step * scale = 2/m, so
+// M_s = (2/m) (m/2 d_0 - (v_0 + v_{m-1}) / 2), where the odd-k terms of
+// v_0 + v_{m-1} cancel. The result is not yet normalized. It differs from
+// the mean of normalized per-set fits by rounding, and where h sits at the
+// 1.5-cell clamp also by the clamp at 0: each per-set fit would clamp its
+// own below-zero ringing, the bag clamps the sum.
+Result<BaggedKde> PerSetBandwidthBag(std::span<const std::vector<double>> sets,
+                                     const KdeOptions& per_set,
+                                     const BaggedKdeOptions& options,
+                                     const ObsOptions& obs, ThreadPool* pool,
+                                     DctPlan& serial_plan) {
+  // Each set's damped coefficients up to its last live one, and its h.
+  std::vector<KdeFitStage> stages(sets.size());
+  VASTATS_RETURN_IF_ERROR(ForEachSet(
+      sets.size(), options, obs, pool, serial_plan,
+      [&](size_t s, const ObsOptions& set_obs, DctPlan& plan) -> Status {
+        VASTATS_ASSIGN_OR_RETURN(
+            KdeFitStage stage, PrepareKdeFit(sets[s], per_set, set_obs, plan));
+        stage.coefficients.resize(stage.live_coefficients);
+        stage.coefficients.shrink_to_fit();
+        stages[s] = std::move(stage);
+        return Status::Ok();
+      }));
+
+  const size_t m = per_set.grid_size;
+  const double two_m = 2.0 * static_cast<double>(m);
+  std::vector<double> end_row;  // r_k, grown to the longest live prefix
+  std::vector<double> sum(m, 0.0);
+  std::vector<double> set_bandwidths;
+  set_bandwidths.reserve(sets.size());
+  const double num_sets = static_cast<double>(sets.size());
+  for (const KdeFitStage& stage : stages) {
+    const std::vector<double>& d = stage.coefficients;
+    while (end_row.size() < d.size()) {
+      const size_t k = end_row.size();
+      end_row.push_back(
+          k == 0 ? 0.5 : std::cos(kPi * static_cast<double>(k) / two_m));
+    }
+    // v_0 + v_{m-1} = 2 * sum over even k of r_k d_k (odd terms cancel).
+    double even_ends = 0.0;
+    for (size_t k = 0; k < d.size(); k += 2) even_ends += end_row[k] * d[k];
+    const double mass = d[0] - 2.0 * even_ends / static_cast<double>(m);
+    if (!(mass > 0.0)) {
+      return Status::FailedPrecondition("cannot normalize zero-mass density");
+    }
+    const double weight = 1.0 / (num_sets * mass);
+    for (size_t k = 0; k < d.size(); ++k) sum[k] += weight * d[k];
+    set_bandwidths.push_back(stage.bandwidth);
+  }
+
+  std::vector<double> values;
+  VASTATS_RETURN_IF_ERROR(BinnedDctValues(
+      sum, per_set.x_max - per_set.x_min, serial_plan, values));
+  VASTATS_ASSIGN_OR_RETURN(
+      GridDensity density,
+      GridDensity::Create(per_set.x_min, per_set.x_max, std::move(values)));
+  return BaggedKde{std::move(density), 0.0, std::move(set_bandwidths)};
 }
 
 // The kShared bag in the coefficient domain. Every set is fitted with one
@@ -167,12 +254,13 @@ Result<BaggedKde> EstimateBaggedKde(
     return Status::InvalidArgument("EstimateBaggedKde needs >= 1 sample set");
   }
   const bool shared = options.bandwidth_mode == BandwidthMode::kShared;
-  // The direct-summation oracle is not a DCT fit, so under kShared it
-  // still fits set by set.
-  const bool coefficient_domain = shared && options.kde.binned;
+  // The direct-summation oracle is not a DCT fit, so in either mode it
+  // fits set by set. Only the binned kShared bag runs no per-set stage and
+  // so leaves the pool unused.
+  const bool binned = options.kde.binned;
   ScopedSpan span(obs, "bagged_kde");
   span.Annotate("sets", static_cast<int64_t>(sets.size()));
-  span.Annotate("pool", pool != nullptr && !coefficient_domain);
+  span.Annotate("pool", pool != nullptr && !(shared && binned));
   span.Annotate("bandwidth_mode", shared ? "shared" : "per_set");
   obs.GetCounter("bagged_kde_sets_total")
       .Increment(static_cast<uint64_t>(sets.size()));
@@ -241,9 +329,11 @@ Result<BaggedKde> EstimateBaggedKde(
 
   VASTATS_ASSIGN_OR_RETURN(
       BaggedKde out,
-      coefficient_domain
+      !binned ? AverageSetFits(sets, per_set, options, obs, pool, *serial_plan)
+      : shared
           ? SharedBandwidthBag(sets, per_set, shared_bandwidth, *serial_plan)
-          : AverageSetFits(sets, per_set, options, obs, pool, serial_plan));
+          : PerSetBandwidthBag(sets, per_set, options, obs, pool,
+                               *serial_plan));
   VASTATS_RETURN_IF_ERROR(out.density.Normalize());
 
   // Report the bandwidth of the reference sample (or the first set) — under

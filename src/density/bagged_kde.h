@@ -20,10 +20,16 @@ namespace vastats {
 class ThreadPool;
 
 // How the per-set bandwidths of a bagged estimate are chosen.
-//  * kPerSet: every bootstrap set runs its own selector and is fitted on
-//    its own (pool tasks when a pool is given) — highest fidelity to the
-//    paper's procedure; the selector and fit costs scale with the number of
-//    sets.
+//  * kPerSet: every bootstrap set runs its own selector — highest fidelity
+//    to the paper's procedure. On the binned path each set still gets its
+//    own binning, DCT-II, bandwidth (the one EstimateKde would select),
+//    1.5-cell clamp and Gaussian damping, as pool tasks when a pool is
+//    given; the damped coefficients are then summed in set order with the
+//    per-set normalization weights, and one DCT-III, one clamp at 0 and
+//    one normalization give the bag. It equals the mean of the normalized
+//    per-set fits to rounding (~1e-13 of the peak; ~1e-9 where h sits at
+//    the clamp, where each fit would clamp its own ringing). The selector
+//    and DCT-II costs scale with the number of sets.
 //  * kShared: the selector runs once on the reference sample and the
 //    resulting h, after the 1.5-cell grid clamp, is used for every set.
 //    With one h on one grid the bag is computed in the coefficient domain:
@@ -42,7 +48,7 @@ struct BaggedKdeOptions {
   BandwidthMode bandwidth_mode = BandwidthMode::kPerSet;
   // Optional transform-plan provider. When set, the calling thread asks it
   // for its DctPlan once, before its first transform, and every pooled
-  // kPerSet fit asks it for the plan of the worker thread, so a serving
+  // kPerSet task asks it for the plan of the worker thread, so a serving
   // layer can keep one bounded plan per thread alive across extractions
   // instead of the default function-local / thread_local plans. Providers
   // must hand out one plan per thread — plans are unsynchronized — and only
@@ -68,22 +74,25 @@ struct BaggedKde {
 // shared per-set bandwidth); it may be empty, in which case the first set
 // is used. Any fixed range in `options.kde` is honored. Non-finite samples
 // in any set or in the reference are rejected. `obs` (optional) records a
-// `bagged_kde` span and the `bagged_kde_sets_total` counter (one per set).
+// `bagged_kde` span and the `bagged_kde_sets_total` counter (one per set);
+// every per-set Botev selection still counts its evaluations in
+// `kde_botev_iterations_total`.
 //
-// kPerSet (and kShared on the direct-summation path) calls EstimateKde per
-// set, each fit a `kde_estimate` child span. With a `pool`, those fits run
-// as pool tasks and are accumulated in set order afterwards, so the
-// estimate is bit-identical to the serial path. Worker tasks cannot drive
-// the single-threaded Trace: pooled fits report metrics only (no
-// `kde_estimate` child spans), and the `bagged_kde` span is annotated
-// `pool=true`. Every worker holds its own DctPlan, so the binned fits reuse
-// their transform tables without any locking.
+// The binned bag runs no per-set EstimateKde: there are no `kde_estimate`
+// child spans and no per-fit `kde_binned_path_total` or `kde_dct_plan_*`
+// counts, and the bag runs one DCT-III (kShared one more for its kernel
+// row). Under kPerSet the per-set stage runs as pool tasks when a `pool` is
+// given (the `bagged_kde` span is annotated `pool=true`), each worker on its
+// own DctPlan without locking; their results are summed in set order, so
+// the estimate is bit-identical to the serial path. kShared leaves `pool`
+// unused. The calling thread takes its plan from `plan_provider` (asked
+// once, before the first transform) or a local one, and runs the final
+// transforms on it.
 //
-// kShared on the binned path runs no per-set fits: the bandwidth clamp and
-// the clamp at 0 act once on the bag, not per set, and there are no
-// `kde_estimate` child spans and no pool fan-out (`pool` is unused). Every
-// transform runs on the calling thread, with the plan it takes from
-// `plan_provider` (asked once, before the first transform) or a local one.
+// The direct-summation oracle fits every set with EstimateKde (each fit a
+// `kde_estimate` child span when serial; pooled fits report metrics only,
+// since worker tasks cannot drive the single-threaded Trace) and averages
+// the normalized fits point by point.
 Result<BaggedKde> EstimateBaggedKde(
     std::span<const std::vector<double>> sets,
     std::span<const double> reference_samples, const BaggedKdeOptions& options,

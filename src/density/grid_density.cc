@@ -175,13 +175,6 @@ std::vector<Mode> GridDensity::FindProminentModes(
   return modes;
 }
 
-void GridDensity::AccumulateScaled(const GridDensity& other, double weight) {
-  for (size_t i = 0; i < values_.size(); ++i) {
-    values_[i] += weight * other.ValueAt(XAt(i));
-  }
-  cdf_.clear();
-}
-
 Result<GridDensity> GridDensity::Resample(double x_min, double x_max,
                                           size_t num_points) const {
   if (!(x_min < x_max) || num_points < 2) {

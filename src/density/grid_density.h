@@ -76,10 +76,6 @@ class GridDensity {
   // genuinely separate peaks.
   std::vector<Mode> FindProminentModes(double min_prominence_fraction) const;
 
-  // Point-wise sum of `weight * other` resampled onto this grid (used to
-  // accumulate the bagged KDE). `other` may have a different grid.
-  void AccumulateScaled(const GridDensity& other, double weight);
-
   // Returns a copy evaluated on a new uniform grid over [x_min, x_max] with
   // `num_points` points (values interpolated, zero outside the source grid).
   Result<GridDensity> Resample(double x_min, double x_max,

@@ -17,9 +17,33 @@ constexpr double kDegenerateBandwidthFloor = 1e-9;
 double RobustSpread(std::span<const double> samples) {
   const Moments moments = ComputeMoments(samples);
   const double sd = moments.SampleStdDev();
-  const double q75 = Quantile(samples, 0.75).value_or(0.0);
-  const double q25 = Quantile(samples, 0.25).value_or(0.0);
-  const double iqr_sigma = (q75 - q25) / 1.34;
+  // The quartiles as Quantile computes them, from one copy and without a
+  // sort: the order statistic at floor(q (n-1)) by nth_element and the next
+  // one as the minimum above it, interpolated as QuantileSorted does. The
+  // lower quartile is selected first, so the upper one only partitions the
+  // elements above it.
+  double iqr_sigma = 0.0;
+  if (!samples.empty()) {
+    std::vector<double> order(samples.begin(), samples.end());
+    size_t selected_below = 0;
+    auto quartile = [&](double q) {
+      const double pos = q * static_cast<double>(order.size() - 1);
+      const size_t lo = static_cast<size_t>(pos);
+      const auto at = order.begin() + static_cast<ptrdiff_t>(lo);
+      if (lo >= selected_below) {
+        std::nth_element(
+            order.begin() + static_cast<ptrdiff_t>(selected_below), at,
+            order.end());
+      }
+      selected_below = lo + 1;
+      const double next =
+          lo + 1 < order.size() ? *std::min_element(at + 1, order.end()) : *at;
+      return *at + (pos - static_cast<double>(lo)) * (next - *at);
+    };
+    const double q25 = quartile(0.25);
+    const double q75 = quartile(0.75);
+    iqr_sigma = (q75 - q25) / 1.34;
+  }
   double spread = sd;
   if (iqr_sigma > 0.0) spread = std::min(spread, iqr_sigma);
   if (spread <= 0.0) spread = sd;
@@ -314,22 +338,10 @@ Result<double> BotevFromDct(std::span<const double> dct,
   return h;
 }
 
-}  // namespace
-
-std::vector<double> LinearBinning(std::span<const double> samples, double lo,
-                                  double hi, size_t grid_size) {
-  std::vector<double> bins(grid_size, 0.0);
-  const double step = (hi - lo) / static_cast<double>(grid_size - 1);
-  for (const double x : samples) {
-    const BinSplit split = LinearBinSplit(x, lo, step, grid_size);
-    bins[split.index] += 1.0 - split.frac;
-    bins[split.index + 1] += split.frac;
-  }
-  return bins;
-}
-
-Status SmoothBinnedDct(std::vector<double>& dct, double h, double range,
-                       DctPlan& plan, std::vector<double>& values) {
+// Multiplies the DCT-II coefficients in place by the Gaussian factors
+// exp(-k^2 pi^2 (h/range)^2 / 2) (diffusion to bandwidth h with reflective
+// boundaries) and returns how many leading coefficients survive.
+size_t DampBinnedDct(std::vector<double>& dct, double h, double range) {
   const size_t m = dct.size();
   const double t = (h / range) * (h / range);
   // exp(-0.5 k^2 pi^2 t) by the same two-factor recurrence as the Botev
@@ -345,9 +357,29 @@ Status SmoothBinnedDct(std::vector<double>& dct, double h, double range,
     gap *= q2;
     if (e < 1e-300) {
       std::fill(dct.begin() + static_cast<ptrdiff_t>(k) + 1, dct.end(), 0.0);
-      break;
+      return k + 1;
     }
   }
+  return m;
+}
+
+}  // namespace
+
+std::vector<double> LinearBinning(std::span<const double> samples, double lo,
+                                  double hi, size_t grid_size) {
+  std::vector<double> bins(grid_size, 0.0);
+  const double step = (hi - lo) / static_cast<double>(grid_size - 1);
+  for (const double x : samples) {
+    const BinSplit split = LinearBinSplit(x, lo, step, grid_size);
+    bins[split.index] += 1.0 - split.frac;
+    bins[split.index + 1] += split.frac;
+  }
+  return bins;
+}
+
+Status BinnedDctValues(std::span<const double> dct, double range,
+                       DctPlan& plan, std::vector<double>& values) {
+  const size_t m = dct.size();
   std::vector<double> smooth;
   VASTATS_RETURN_IF_ERROR(plan.Dct3(dct, smooth));
   // Dct3(Dct2(x)) = (m/2) x, so masses are (2/m) * smooth; densities
@@ -359,6 +391,12 @@ Status SmoothBinnedDct(std::vector<double>& dct, double h, double range,
     values[i] = std::max(0.0, smooth[i] * scale);
   }
   return Status::Ok();
+}
+
+Status SmoothBinnedDct(std::vector<double>& dct, double h, double range,
+                       DctPlan& plan, std::vector<double>& values) {
+  DampBinnedDct(dct, h, range);
+  return BinnedDctValues(dct, range, plan, values);
 }
 
 Status KdeOptions::Validate() const {
@@ -446,35 +484,9 @@ Result<double> SelectBandwidth(std::span<const double> samples,
   return Status::Internal("unknown BandwidthRule");
 }
 
-Result<Kde> EstimateKde(std::span<const double> samples,
-                        const KdeOptions& options, const ObsOptions& obs,
-                        DctPlan* plan) {
-  VASTATS_RETURN_IF_ERROR(options.Validate());
-  if (samples.size() < 2) {
-    return Status::InvalidArgument("EstimateKde needs >= 2 samples");
-  }
-  // A NaN sample would reach LinearBinning's double->size_t cast (UB) and
-  // poison the bandwidth selectors, so reject non-finite input up front.
-  for (const double x : samples) {
-    if (!std::isfinite(x)) {
-      return Status::InvalidArgument("EstimateKde samples must be finite");
-    }
-  }
-  ScopedSpan span(obs, "kde_estimate");
-  span.Annotate("samples", static_cast<int64_t>(samples.size()));
-  span.Annotate("grid_size", static_cast<int64_t>(options.grid_size));
-  span.Annotate("path", options.binned ? "binned_dct" : "direct");
-  if (options.binned) {
-    obs.GetCounter("kde_binned_path_total").Increment();
-  } else {
-    obs.GetCounter("kde_direct_path_total").Increment();
-  }
-
-  DctPlan local_plan;
-  DctPlan& dct_plan = plan != nullptr ? *plan : local_plan;
-  const uint64_t plan_hits_before = dct_plan.cache_hits();
-  const uint64_t plan_misses_before = dct_plan.cache_misses();
-
+Result<KdeFitStage> PrepareKdeFit(std::span<const double> samples,
+                                  const KdeOptions& options,
+                                  const ObsOptions& obs, DctPlan& plan) {
   const size_t m = options.grid_size;
   const double n_dbl = static_cast<double>(samples.size());
   const auto [min_it, max_it] =
@@ -503,28 +515,22 @@ Result<Kde> EstimateKde(std::span<const double> samples,
   // selector runs on the evaluation grid and bounds themselves, so its
   // LinearBinning + DCT-II pass is shared with the binned smoothing below
   // instead of re-binning and re-transforming.
+  KdeFitStage stage;
   double h = 0.0;
-  std::vector<double> bins;  // binned unit mass on [lo, hi]
-  std::vector<double> dct;   // its DCT-II coefficients
+  std::vector<double>& dct = stage.coefficients;  // DCT-II of the unit mass
   bool have_dct = false;
-  uint64_t botev_evaluations = 0;
   const bool botev_on_grid = options.bandwidth <= 0.0 &&
                              options.rule == BandwidthRule::kBotev &&
                              IsPowerOfTwo(m) && data_max > data_min;
   if (botev_on_grid) {
-    bins = LinearBinning(samples, lo, hi, m);
+    std::vector<double> bins = LinearBinning(samples, lo, hi, m);
     for (double& b : bins) b /= n_dbl;
-    VASTATS_RETURN_IF_ERROR(dct_plan.Dct2(bins, dct));
+    VASTATS_RETURN_IF_ERROR(plan.Dct2(bins, dct));
     have_dct = true;
     VASTATS_ASSIGN_OR_RETURN(h, BotevFromDct(dct, samples, n_dbl, hi - lo, obs,
-                                             &botev_evaluations));
+                                             &stage.botev_evaluations));
   } else {
-    if (options.bandwidth <= 0.0 && options.rule == BandwidthRule::kBotev &&
-        !IsPowerOfTwo(m)) {
-      span.Annotate("botev_grid_substituted", true);
-    }
-    VASTATS_ASSIGN_OR_RETURN(h,
-                             SelectBandwidth(samples, options, obs, &dct_plan));
+    VASTATS_ASSIGN_OR_RETURN(h, SelectBandwidth(samples, options, obs, &plan));
   }
 
   if (!fixed_range) {
@@ -549,19 +555,77 @@ Result<Kde> EstimateKde(std::span<const double> samples,
   // matters for near-discrete answer sets, where plug-in selectors drive h
   // towards zero.
   h = std::max(h, 1.5 * (hi - lo) / static_cast<double>(m - 1));
-  span.Annotate("bandwidth", h);
-  if (botev_evaluations > 0) {
-    span.Annotate("botev_evaluations",
-                  static_cast<int64_t>(botev_evaluations));
+  stage.x_min = lo;
+  stage.x_max = hi;
+  stage.bandwidth = h;
+
+  if (!options.binned) {
+    dct.clear();
+    return stage;
+  }
+  // Linear binning + diffusion smoothing in the DCT domain (reflective
+  // boundaries). Exact Gaussian smoothing of the binned measure.
+  if (!have_dct) {
+    std::vector<double> bins = LinearBinning(samples, lo, hi, m);
+    for (double& b : bins) b /= n_dbl;
+    VASTATS_RETURN_IF_ERROR(plan.Dct2(bins, dct));
+  }
+  stage.live_coefficients = DampBinnedDct(dct, h, hi - lo);
+  return stage;
+}
+
+Result<Kde> EstimateKde(std::span<const double> samples,
+                        const KdeOptions& options, const ObsOptions& obs,
+                        DctPlan* plan) {
+  VASTATS_RETURN_IF_ERROR(options.Validate());
+  if (samples.size() < 2) {
+    return Status::InvalidArgument("EstimateKde needs >= 2 samples");
+  }
+  // A NaN sample would reach LinearBinning's double->size_t cast (UB) and
+  // poison the bandwidth selectors, so reject non-finite input up front.
+  for (const double x : samples) {
+    if (!std::isfinite(x)) {
+      return Status::InvalidArgument("EstimateKde samples must be finite");
+    }
+  }
+  ScopedSpan span(obs, "kde_estimate");
+  span.Annotate("samples", static_cast<int64_t>(samples.size()));
+  span.Annotate("grid_size", static_cast<int64_t>(options.grid_size));
+  span.Annotate("path", options.binned ? "binned_dct" : "direct");
+  if (options.binned) {
+    obs.GetCounter("kde_binned_path_total").Increment();
+  } else {
+    obs.GetCounter("kde_direct_path_total").Increment();
+  }
+  if (options.bandwidth <= 0.0 && options.rule == BandwidthRule::kBotev &&
+      !IsPowerOfTwo(options.grid_size)) {
+    span.Annotate("botev_grid_substituted", true);
   }
 
-  std::vector<double> values(m, 0.0);
+  DctPlan local_plan;
+  DctPlan& dct_plan = plan != nullptr ? *plan : local_plan;
+  const uint64_t plan_hits_before = dct_plan.cache_hits();
+  const uint64_t plan_misses_before = dct_plan.cache_misses();
 
+  VASTATS_ASSIGN_OR_RETURN(KdeFitStage stage,
+                           PrepareKdeFit(samples, options, obs, dct_plan));
+  const double lo = stage.x_min;
+  const double hi = stage.x_max;
+  const double h = stage.bandwidth;
+  span.Annotate("bandwidth", h);
+  if (stage.botev_evaluations > 0) {
+    span.Annotate("botev_evaluations",
+                  static_cast<int64_t>(stage.botev_evaluations));
+  }
+
+  const size_t m = options.grid_size;
+  std::vector<double> values(m, 0.0);
   if (!options.binned) {
     // Direct summation: f(x) = 1/(n h) * sum K((x - x_i)/h).
     const double step = (hi - lo) / static_cast<double>(m - 1);
     const double inv_h = 1.0 / h;
-    const double norm = 1.0 / (n_dbl * h * kSqrt2Pi);
+    const double norm =
+        1.0 / (static_cast<double>(samples.size()) * h * kSqrt2Pi);
     // Kernels beyond ~8.5 sigma contribute < 1e-16; skip them.
     const double cutoff = 8.5 * h;
     std::vector<double> sorted(samples.begin(), samples.end());
@@ -580,14 +644,8 @@ Result<Kde> EstimateKde(std::span<const double> samples,
       values[i] = norm * sum;
     }
   } else {
-    // Linear binning + diffusion smoothing in the DCT domain (reflective
-    // boundaries). Exact Gaussian smoothing of the binned measure.
-    if (!have_dct) {
-      bins = LinearBinning(samples, lo, hi, m);
-      for (double& b : bins) b /= n_dbl;
-      VASTATS_RETURN_IF_ERROR(dct_plan.Dct2(bins, dct));
-    }
-    VASTATS_RETURN_IF_ERROR(SmoothBinnedDct(dct, h, hi - lo, dct_plan, values));
+    VASTATS_RETURN_IF_ERROR(
+        BinnedDctValues(stage.coefficients, hi - lo, dct_plan, values));
   }
 
   obs.GetCounter("kde_dct_plan_hits_total")

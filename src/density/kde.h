@@ -18,15 +18,18 @@
 // When the Botev rule runs inside `EstimateKde` on a power-of-two grid, the
 // selector is evaluated on the same grid and bounds as the binned
 // evaluation, so its LinearBinning + DCT-II pass is computed once and
-// reused for the smoothing step. Callers on a hot loop should pass a
-// `DctPlan` (util/fft.h) to amortize the transform setup; plans are
-// per-thread, never shared.
+// reused for the smoothing step. Everything up to the DCT-III is
+// `PrepareKdeFit`, which the per-set-bandwidth bag (bagged_kde.h) runs for
+// each set so that it selects the same h as `EstimateKde`. Callers on a hot
+// loop should pass a `DctPlan` (util/fft.h) to amortize the transform
+// setup; plans are per-thread, never shared.
 
 #ifndef VASTATS_DENSITY_KDE_H_
 #define VASTATS_DENSITY_KDE_H_
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -99,10 +102,16 @@ inline BinSplit LinearBinSplit(double x, double lo, double step,
 // coefficients of linearly binned probability mass on a grid of
 // dct.size() points spanning `range`; they are multiplied in place by the
 // Gaussian factors exp(-k^2 pi^2 (h/range)^2 / 2) (diffusion to bandwidth
-// h with reflective boundaries), transformed back by a DCT-III, and
-// written to `values` as densities clamped at 0 but not normalized.
+// h with reflective boundaries; once a factor falls below 1e-300 the
+// remaining coefficients are set to zero) and handed to BinnedDctValues.
 // Apart from the clamp the map from `dct` to `values` is linear.
 Status SmoothBinnedDct(std::vector<double>& dct, double h, double range,
+                       DctPlan& plan, std::vector<double>& values);
+
+// The tabulation step of the binned path: the DCT-III of smoothed
+// coefficients on a grid of dct.size() points spanning `range`, written to
+// `values` as densities clamped at 0 but not normalized.
+Status BinnedDctValues(std::span<const double> dct, double range,
                        DctPlan& plan, std::vector<double>& values);
 
 // Rule-of-thumb selectors. Return a small positive floor for degenerate
@@ -133,6 +142,33 @@ Result<double> SelectBandwidth(std::span<const double> samples,
                                const KdeOptions& options,
                                const ObsOptions& obs = {},
                                DctPlan* plan = nullptr);
+
+// One fit before its values are tabulated.
+struct KdeFitStage {
+  // The grid: the fixed range of the options, or the data plus padding
+  // (widened so that it spans at least one bandwidth).
+  double x_min = 0.0;
+  double x_max = 0.0;
+  // The bandwidth after the 1.5-cell grid clamp.
+  double bandwidth = 0.0;
+  // Binned path: the DCT-II coefficients of the linearly binned unit mass,
+  // damped as SmoothBinnedDct does; from `live_coefficients` on they are
+  // zero. BinnedDctValues tabulates them. Empty on the direct path.
+  std::vector<double> coefficients;
+  size_t live_coefficients = 0;
+  // Evaluations of the Botev selector when it ran on the fit's own grid.
+  uint64_t botev_evaluations = 0;
+};
+
+// The stage of EstimateKde before tabulation: the grid bounds, bandwidth
+// selection (under the Botev rule on a power-of-two grid, on the DCT-II of
+// the fit's own binning, which the binned path then reuses), the 1.5-cell
+// clamp and, on the binned path, the damping of the coefficients. Requires
+// valid options and >= 2 finite samples (callers validate). `obs` receives
+// the selector's counters; no span is recorded.
+Result<KdeFitStage> PrepareKdeFit(std::span<const double> samples,
+                                  const KdeOptions& options,
+                                  const ObsOptions& obs, DctPlan& plan);
 
 // Estimates the density of `samples`; the result is normalized to unit mass
 // over its grid. Requires >= 2 samples. `obs` (optional) records a

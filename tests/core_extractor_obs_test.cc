@@ -51,12 +51,16 @@ TEST(ExtractorObsTest, RecordsTheFullSpanTaxonomy) {
 
   for (const char* name :
        {"extract", "sampling", "unis_sample", "extract_from_samples",
-        "bootstrap", "point_statistics", "kde", "bagged_kde", "kde_estimate",
-        "cio", "cio_greedy", "stability", "unis_estimate_weight"}) {
+        "bootstrap", "point_statistics", "kde", "bagged_kde", "cio",
+        "cio_greedy", "stability", "unis_estimate_weight"}) {
     EXPECT_GE(trace.CountOf(name), 1) << "missing span: " << name;
   }
-  // One kde_estimate child per bootstrap set.
-  EXPECT_EQ(trace.CountOf("kde_estimate"), 10);
+  // The binned bag runs no per-set EstimateKde, so it has no kde_estimate
+  // children; its span counts the bootstrap sets instead.
+  EXPECT_EQ(trace.CountOf("kde_estimate"), 0);
+  const SpanRecord* bag = trace.Find("bagged_kde");
+  ASSERT_NE(bag, nullptr);
+  EXPECT_EQ(FindAnnotation(*bag, "sets"), "10");
   // The phases nest under the pipeline roots.
   const SpanRecord* sampling = trace.Find("sampling");
   ASSERT_NE(sampling, nullptr);
@@ -106,8 +110,8 @@ TEST(ExtractorObsTest, PopulatesPipelineMetrics) {
   EXPECT_EQ(draws->value, 45u);
   EXPECT_EQ(snapshot.FindCounter("extractions_total")->value, 1u);
   EXPECT_EQ(snapshot.FindCounter("bagged_kde_sets_total")->value, 10u);
-  // One KDE per bootstrap set, all on the binned DCT path by default.
-  EXPECT_EQ(snapshot.FindCounter("kde_binned_path_total")->value, 10u);
+  // The binned bag fits no set with EstimateKde, so no per-fit path count.
+  EXPECT_EQ(snapshot.FindCounter("kde_binned_path_total"), nullptr);
   EXPECT_EQ(snapshot.FindCounter("cio_runs_total")->value, 1u);
   ASSERT_NE(snapshot.FindCounter("kde_botev_iterations_total"), nullptr);
   EXPECT_GT(snapshot.FindCounter("kde_botev_iterations_total")->value, 0u);
@@ -159,7 +163,7 @@ TEST(ExtractorObsTest, PoolRunReportsPoolTelemetry) {
 
   const MetricsSnapshot snapshot = metrics.Snapshot();
   // Pool task accounting: 4 sampling chunks + 4 x 10 bootstrap statistic
-  // evaluations + 10 KDE fits, all with latency observations.
+  // evaluations + 10 per-set KDE stages, all with latency observations.
   const CounterSample* tasks = snapshot.FindCounter("thread_pool_tasks_total");
   ASSERT_NE(tasks, nullptr);
   EXPECT_EQ(tasks->value, 54u);
@@ -175,7 +179,7 @@ TEST(ExtractorObsTest, PoolRunReportsPoolTelemetry) {
   const SpanRecord* kde_span = trace.Find("bagged_kde");
   ASSERT_NE(kde_span, nullptr);
   EXPECT_EQ(FindAnnotation(*kde_span, "pool"), "true");
-  // Pooled KDE fits report metrics only (Trace is single-threaded).
+  // The per-set stages report metrics only (Trace is single-threaded).
   EXPECT_EQ(trace.CountOf("kde_estimate"), 0);
 }
 

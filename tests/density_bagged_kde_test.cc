@@ -1,8 +1,10 @@
 #include "density/bagged_kde.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -293,23 +295,27 @@ BaggedKdeOptions SharedOptions() {
   return options;
 }
 
-TEST(BaggedKdeSharedTest, RejectsNonFiniteSamples) {
+void ExpectRejectsNonFiniteSamples(const BaggedKdeOptions& options) {
   const std::vector<double> data = testing::NormalSample(200, 31);
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity()}) {
     auto sets = MakeSets(data, 5, 32);
     sets[3][7] = bad;
-    const auto in_set = EstimateBaggedKde(sets, data, SharedOptions());
+    const auto in_set = EstimateBaggedKde(sets, data, options);
     ASSERT_FALSE(in_set.ok());
     EXPECT_EQ(in_set.status().code(), StatusCode::kInvalidArgument);
 
     std::vector<double> reference = data;
     reference[0] = bad;
     const auto in_reference =
-        EstimateBaggedKde(MakeSets(data, 5, 32), reference, SharedOptions());
+        EstimateBaggedKde(MakeSets(data, 5, 32), reference, options);
     ASSERT_FALSE(in_reference.ok());
     EXPECT_EQ(in_reference.status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+TEST(BaggedKdeSharedTest, RejectsNonFiniteSamples) {
+  ExpectRejectsNonFiniteSamples(SharedOptions());
 }
 
 TEST(BaggedKdeSharedTest, AsksThePlanProviderBeforeAnyTransform) {
@@ -359,6 +365,229 @@ TEST(BaggedKdeSharedTest, CountsEverySetAndRunsNoPerSetFits) {
   EXPECT_EQ(trace.CountOf("bagged_kde"), 1);
   EXPECT_EQ(trace.CountOf("kde_estimate"), 0);
   EXPECT_EQ(snapshot.FindCounter("thread_pool_tasks_total"), nullptr);
+}
+
+// ---- kPerSet coefficient-domain agreement: the bag that sums the damped
+// coefficients of every set and runs one DCT-III, against its definition,
+// the mean of per-set EstimateKde fits on the bag's common grid, each
+// selecting its own h and normalized on its own. Each set's h comes from
+// the same stage as EstimateKde's, so the bandwidths are bit-equal and only
+// rounding and the clamp at 0 separate the densities: 1e-12 of the peak,
+// and 1e-8 where a set's h sits at the 1.5-cell clamp (near-discrete data),
+// where each fit would clamp its own below-zero ringing (see the kShared
+// matrix above; measured ~1e-9 here).
+struct PerSetAgreementCase {
+  const char* shape;
+  std::vector<double> (*make)(uint64_t seed);
+};
+
+void PrintTo(const PerSetAgreementCase& test_case, std::ostream* os) {
+  *os << test_case.shape;
+}
+
+class BaggedKdePerSetCoefficientAgreement
+    : public ::testing::TestWithParam<PerSetAgreementCase> {};
+
+// The point-wise mean of the normalized EstimateKde fits of every set on
+// the bag's grid; `bandwidths` receives each fit's h.
+std::vector<double> MeanOfSetFits(const std::vector<std::vector<double>>& sets,
+                                  KdeOptions options, const GridDensity& grid,
+                                  std::vector<double>* bandwidths) {
+  options.x_min = grid.x_min();
+  options.x_max = grid.x_max();
+  std::vector<double> mean(grid.size(), 0.0);
+  for (const std::vector<double>& set : sets) {
+    const Kde fit = EstimateKde(set, options).value();
+    bandwidths->push_back(fit.bandwidth);
+    for (size_t i = 0; i < mean.size(); ++i) {
+      mean[i] += fit.density.values()[i] / static_cast<double>(sets.size());
+    }
+  }
+  return mean;
+}
+
+TEST_P(BaggedKdePerSetCoefficientAgreement, MatchesMeanOfPerSetFits) {
+  const PerSetAgreementCase& test_case = GetParam();
+  const std::vector<double> data = test_case.make(2026);
+  const auto sets = MakeSets(data, 50, 27);
+  const BaggedKdeOptions options;  // kPerSet, binned, Botev
+  const auto bag = EstimateBaggedKde(sets, data, options);
+  ASSERT_TRUE(bag.ok()) << bag.status().ToString();
+
+  std::vector<double> fit_bandwidths;
+  const std::vector<double> mean =
+      MeanOfSetFits(sets, options.kde, bag->density, &fit_bandwidths);
+  EXPECT_EQ(bag->set_bandwidths, fit_bandwidths);
+  const size_t m = mean.size();
+  const double cell = bag->density.step();
+  const bool at_clamp =
+      std::any_of(fit_bandwidths.begin(), fit_bandwidths.end(),
+                  [&](double h) { return h == 1.5 * cell; });
+  double peak = 0.0;
+  double l_inf = 0.0;
+  for (size_t i = 0; i < m; ++i) {
+    peak = std::max(peak, mean[i]);
+    l_inf = std::max(l_inf, std::fabs(mean[i] - bag->density.values()[i]));
+  }
+  EXPECT_LE(l_inf, (at_clamp ? 1e-8 : 1e-12) * peak)
+      << "peak=" << peak << " at_clamp=" << at_clamp;
+
+  for (const int width : {1, 4}) {
+    ThreadPool pool(ThreadPoolOptions{.num_threads = width});
+    const auto pooled = EstimateBaggedKde(sets, data, options, {}, &pool);
+    ASSERT_TRUE(pooled.ok()) << "width " << width;
+    EXPECT_EQ(pooled->bandwidth, bag->bandwidth) << "width " << width;
+    EXPECT_EQ(pooled->set_bandwidths, bag->set_bandwidths) << "width " << width;
+    ASSERT_TRUE(std::equal(pooled->density.values().begin(),
+                           pooled->density.values().end(),
+                           bag->density.values().begin(),
+                           bag->density.values().end()))
+        << "width " << width;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, BaggedKdePerSetCoefficientAgreement,
+    ::testing::Values(
+        PerSetAgreementCase{"unimodal", testing::UnimodalSample},
+        PerSetAgreementCase{"bimodal", testing::BimodalAgreementSample},
+        PerSetAgreementCase{"heavy_tailed", testing::HeavyTailSample},
+        PerSetAgreementCase{"near_discrete", testing::NearDiscreteSample}),
+    [](const ::testing::TestParamInfo<PerSetAgreementCase>& info) {
+      return std::string(info.param.shape);
+    });
+
+TEST(BaggedKdeTest, LastGridPointIsTheMeanOfTheFits) {
+  // On this sample the grid's last point, x_min + (m-1) * step, rounds past
+  // x_max. Sampling the fits there read 0, so the bag's last value was 0;
+  // averaging by grid index keeps the fits' own last values.
+  const std::vector<double> data = testing::BimodalAgreementSample(99);
+  const auto sets = MakeSets(data, 50, 99);
+  for (const bool binned : {true, false}) {
+    BaggedKdeOptions options;
+    options.kde.binned = binned;
+    const auto bag = EstimateBaggedKde(sets, data, options);
+    ASSERT_TRUE(bag.ok()) << bag.status().ToString();
+    std::vector<double> bandwidths;
+    const std::vector<double> mean =
+        MeanOfSetFits(sets, options.kde, bag->density, &bandwidths);
+    const double peak = *std::max_element(mean.begin(), mean.end());
+    EXPECT_GT(mean.back(), 1e-9 * peak) << "binned=" << binned;
+    EXPECT_NEAR(bag->density.values().back(), mean.back(), 1e-12 * peak)
+        << "binned=" << binned;
+  }
+}
+
+TEST(BaggedKdePerSetTest, RejectsNonFiniteSamples) {
+  ExpectRejectsNonFiniteSamples(BaggedKdeOptions{});
+}
+
+TEST(BaggedKdePerSetTest, AsksThePlanProviderBeforeAnyTransform) {
+  // Serial: one DCT-II per set and one DCT-III for the bag, plus the
+  // reference selector's DCT-II unless the bandwidth is manual. All of
+  // them run on the provider's plan, which is requested once, before the
+  // first.
+  const std::vector<double> data = testing::NormalSample(300, 33, 1.0, 2.0);
+  const auto sets = MakeSets(data, 20, 34);
+  for (const double manual_bandwidth : {0.0, 0.3}) {
+    BaggedKdeOptions options;
+    options.kde.bandwidth = manual_bandwidth;
+    DctPlan plan;
+    int requests = 0;
+    uint64_t transforms_before_first_request = 0;
+    options.plan_provider = [&]() -> DctPlan* {
+      if (requests++ == 0) {
+        transforms_before_first_request =
+            plan.cache_hits() + plan.cache_misses();
+      }
+      return &plan;
+    };
+    const auto bag = EstimateBaggedKde(sets, data, options);
+    ASSERT_TRUE(bag.ok()) << "manual h " << manual_bandwidth;
+    EXPECT_EQ(requests, 1) << "manual h " << manual_bandwidth;
+    EXPECT_EQ(transforms_before_first_request, 0u);
+    EXPECT_EQ(plan.cache_hits() + plan.cache_misses(),
+              sets.size() + (manual_bandwidth > 0.0 ? 1u : 2u))
+        << "manual h " << manual_bandwidth;
+  }
+}
+
+TEST(BaggedKdePerSetTest, PooledTasksAskThePlanProviderForTheirThread) {
+  const std::vector<double> data = testing::NormalSample(300, 37, 1.0, 2.0);
+  const auto sets = MakeSets(data, 12, 38);
+  std::atomic<int> requests{0};
+  BaggedKdeOptions options;
+  options.plan_provider = [&]() -> DctPlan* {
+    thread_local DctPlan plan;
+    requests.fetch_add(1);
+    return &plan;
+  };
+  ThreadPool pool(ThreadPoolOptions{.num_threads = 4});
+  const auto pooled = EstimateBaggedKde(sets, data, options, {}, &pool);
+  ASSERT_TRUE(pooled.ok());
+  // The calling thread once, then every pooled per-set task.
+  EXPECT_EQ(requests.load(), 1 + static_cast<int>(sets.size()));
+  const auto serial = EstimateBaggedKde(sets, data, BaggedKdeOptions{});
+  ASSERT_TRUE(serial.ok());
+  EXPECT_TRUE(std::equal(pooled->density.values().begin(),
+                         pooled->density.values().end(),
+                         serial->density.values().begin(),
+                         serial->density.values().end()));
+}
+
+TEST(BaggedKdePerSetTest, CountsEverySetAndEveryBotevEvaluation) {
+  // The bag runs no per-set EstimateKde, but every set still selects its
+  // own h: the Botev evaluation count is that of the per-set fits plus the
+  // reference selection, so perfbench's per-op fit and iteration counts
+  // keep their meaning.
+  const std::vector<double> data = testing::NormalSample(250, 35);
+  const auto sets = MakeSets(data, 17, 36);
+  for (const int width : {0, 2}) {
+    Trace trace;
+    MetricsRegistry metrics;
+    ObsOptions obs;
+    obs.trace = &trace;
+    obs.metrics = &metrics;
+    std::optional<ThreadPool> pool;
+    if (width > 0) pool.emplace(ThreadPoolOptions{.num_threads = width});
+    const auto bag = EstimateBaggedKde(sets, data, BaggedKdeOptions{}, obs,
+                                       pool ? &*pool : nullptr);
+    ASSERT_TRUE(bag.ok());
+
+    MetricsRegistry expected_metrics;
+    ObsOptions expected_obs;
+    expected_obs.metrics = &expected_metrics;
+    KdeOptions fixed;
+    fixed.x_min = bag->density.x_min();
+    fixed.x_max = bag->density.x_max();
+    for (const std::vector<double>& set : sets) {
+      ASSERT_TRUE(EstimateKde(set, fixed, expected_obs).ok());
+    }
+    ASSERT_TRUE(SelectBandwidth(data, KdeOptions{}, expected_obs).ok());
+    const uint64_t expected_iterations =
+        expected_metrics.Snapshot()
+            .FindCounter("kde_botev_iterations_total")
+            ->value;
+
+    const MetricsSnapshot snapshot = metrics.Snapshot();
+    ASSERT_NE(snapshot.FindCounter("bagged_kde_sets_total"), nullptr);
+    EXPECT_EQ(snapshot.FindCounter("bagged_kde_sets_total")->value, 17u);
+    ASSERT_NE(snapshot.FindCounter("kde_botev_iterations_total"), nullptr);
+    EXPECT_EQ(snapshot.FindCounter("kde_botev_iterations_total")->value,
+              expected_iterations)
+        << "width " << width;
+    EXPECT_EQ(snapshot.FindCounter("kde_binned_path_total"), nullptr);
+    EXPECT_EQ(trace.CountOf("bagged_kde"), 1);
+    EXPECT_EQ(trace.CountOf("kde_estimate"), 0);
+    const CounterSample* tasks =
+        snapshot.FindCounter("thread_pool_tasks_total");
+    if (width == 0) {
+      EXPECT_EQ(tasks, nullptr);
+    } else {
+      ASSERT_NE(tasks, nullptr);
+      EXPECT_EQ(tasks->value, 17u);
+    }
+  }
 }
 
 }  // namespace

@@ -201,14 +201,6 @@ TEST(GridDensityTest, FindProminentModesKeepsRealStructure) {
           .empty());
 }
 
-TEST(GridDensityTest, AccumulateScaledAveragesDensities) {
-  GridDensity a = GridDensity::Create(0.0, 1.0, {1.0, 1.0, 1.0}).value();
-  const GridDensity b =
-      GridDensity::Create(0.0, 1.0, {3.0, 3.0, 3.0}).value();
-  a.AccumulateScaled(b, 0.5);
-  EXPECT_DOUBLE_EQ(a.ValueAt(0.5), 2.5);
-}
-
 TEST(GridDensityTest, ResampleOntoWiderGrid) {
   const GridDensity density = MakeTriangle();
   const auto wide = density.Resample(-1.0, 3.0, 801);

@@ -1,12 +1,15 @@
 #include "density/kde.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "stats/descriptive.h"
 #include "test_util.h"
 #include "util/fft.h"
 #include "util/math.h"
@@ -63,6 +66,41 @@ TEST(BandwidthTest, DegenerateSampleGetsPositiveFloor) {
   const std::vector<double> constant(50, 3.0);
   EXPECT_GT(SilvermanBandwidth(constant), 0.0);
   EXPECT_GT(ScottBandwidth(constant), 0.0);
+}
+
+// Silverman's rule with its quartiles taken the straightforward way: two
+// full sorts through Quantile. SilvermanBandwidth selects the same order
+// statistics without sorting, so the two must agree bit for bit.
+double TwoSortSilverman(std::span<const double> samples) {
+  const double sd = ComputeMoments(samples).SampleStdDev();
+  const double iqr_sigma =
+      (Quantile(samples, 0.75).value() - Quantile(samples, 0.25).value()) /
+      1.34;
+  double spread = sd;
+  if (iqr_sigma > 0.0) spread = std::min(spread, iqr_sigma);
+  if (spread <= 0.0) spread = sd;
+  return 0.9 * spread * std::pow(static_cast<double>(samples.size()), -0.2);
+}
+
+TEST(BandwidthTest, SilvermanMatchesTwoSortQuartilesBitForBit) {
+  std::vector<std::vector<double>> samples = {
+      testing::UnimodalSample(1234), testing::BimodalAgreementSample(1234),
+      testing::HeavyTailSample(1234), testing::NearDiscreteSample(1234)};
+  for (const int n : {2, 3, 4, 5, 7, 400, 401}) {
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      std::vector<double> draws = testing::NormalSample(n, seed, 1.0, 3.0);
+      samples.push_back(draws);
+      // Ties on the quartile order statistics.
+      for (double& x : draws) x = std::round(x);
+      samples.push_back(draws);
+    }
+  }
+  for (const std::vector<double>& sample : samples) {
+    const double reference = TwoSortSilverman(sample);
+    if (!(reference > 0.0)) continue;  // degenerate: the floor applies
+    EXPECT_EQ(SilvermanBandwidth(sample), reference)
+        << "n=" << sample.size() << " first=" << sample[0];
+  }
 }
 
 TEST(BandwidthTest, BotevOnGaussianNearRuleOfThumb) {
