@@ -130,15 +130,17 @@ void BM_ParallelSamplePool(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelSamplePool)->Arg(400)->Arg(4000);
 
-void BM_ParallelSampleThreadPerCall(benchmark::State& state) {
-  ParallelSampleOptions options;  // num_threads = 0 -> hardware concurrency
+// No pool: every call starts and joins a call-scoped pool at hardware
+// concurrency (num_threads = 0).
+void BM_ParallelSampleNoPool(benchmark::State& state) {
+  ParallelSampleOptions options;
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(ParallelUniSSample(D2Sampler(), n, options));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ParallelSampleThreadPerCall)->Arg(400)->Arg(4000);
+BENCHMARK(BM_ParallelSampleNoPool)->Arg(400)->Arg(4000);
 
 // Times one `fn()` run with the span-free stopwatch.
 double MeasureSeconds(const std::function<void()>& fn) {

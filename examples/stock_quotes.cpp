@@ -11,10 +11,12 @@
 //      families (full-year vs half-year vs stale-cache reporters);
 //   2. runs a GROUP BY sector / HAVING query whose predicate is
 //      probabilistic under value-level heterogeneity;
-//   3. shows the shared-assignment multi-aggregate sampler answering
-//      several statistics consistently from one sampling pass.
+//   3. answers several statistics consistently from one sampling pass by
+//      recording each uniS draw's takes once and replaying them per
+//      statistic.
 
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -135,25 +137,43 @@ int main() {
   }
   std::printf("\n");
 
-  // 3. Several statistics of the hottest sector from ONE sampling pass.
-  const auto multi = MultiAggregateSampler::Create(
-      sources.get(), grouped.groups.back().components,
-      {{AggregateKind::kAverage, 0.5},
-       {AggregateKind::kMedian, 0.5},
-       {AggregateKind::kQuantile, 0.9},
-       {AggregateKind::kMax, 0.5}});
-  if (!multi.ok()) return 1;
+  // 3. Several statistics of the hottest sector from ONE sampling pass:
+  // each uniS draw records its takes once, and every statistic is
+  // finalized from the same takes.
+  AggregateQuery hottest;
+  hottest.name = std::string("sector-") + std::to_string(kSectors - 1);
+  hottest.kind = AggregateKind::kAverage;
+  hottest.components = grouped.groups.back().components;
+  const auto sampler = UniSSampler::Create(sources.get(), std::move(hottest));
+  if (!sampler.ok()) return 1;
+  struct Statistic {
+    const char* label;
+    AggregateKind kind;
+    double quantile_q;
+  };
+  const Statistic statistics[] = {{"avg", AggregateKind::kAverage, 0.5},
+                                  {"median", AggregateKind::kMedian, 0.5},
+                                  {"p90", AggregateKind::kQuantile, 0.9},
+                                  {"max", AggregateKind::kMax, 0.5}};
+  std::vector<std::vector<double>> series(std::size(statistics));
+  std::vector<UniSTake> takes;
   Rng sample_rng(7);
-  const auto series = multi->Sample(300, sample_rng);
-  if (!series.ok()) return 1;
-  const char* labels[] = {"avg", "median", "p90", "max"};
+  for (int draw = 0; draw < 300; ++draw) {
+    if (!sampler->SampleOneRecorded(sample_rng, takes).ok()) return 1;
+    for (size_t a = 0; a < series.size(); ++a) {
+      const auto value = UniSSampler::ReplayTakes(takes, statistics[a].kind,
+                                                  statistics[a].quantile_q);
+      if (!value.ok()) return 1;
+      series[a].push_back(*value);
+    }
+  }
   std::printf("\nSector-%d viable answer summaries (one shared sampling "
               "pass, 300 assignments):\n",
               kSectors - 1);
-  for (size_t a = 0; a < series->size(); ++a) {
-    const SampleSummary summary = Summarize((*series)[a]).value();
-    std::printf("  %-7s mean %6.2f  [%.2f, %.2f]\n", labels[a], summary.mean,
-                summary.min, summary.max);
+  for (size_t a = 0; a < series.size(); ++a) {
+    const SampleSummary summary = Summarize(series[a]).value();
+    std::printf("  %-7s mean %6.2f  [%.2f, %.2f]\n", statistics[a].label,
+                summary.mean, summary.min, summary.max);
   }
   return 0;
 }

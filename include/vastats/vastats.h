@@ -55,7 +55,6 @@
 #include "sampling/query_processor.h"
 #include "sampling/adaptive.h"
 #include "sampling/exhaustive.h"
-#include "sampling/multi.h"
 #include "sampling/parallel.h"
 #include "sampling/unis.h"
 #include "sampling/weighted.h"

@@ -186,7 +186,7 @@ Result<DegradationReport> AnswerStatisticsExtractor::SampleDegradedPhase(
     // Chaos runs route through the chunk-indexed driver at EVERY width —
     // including a resolved width of one — so the drawn samples, the fault
     // schedule, and the breaker transitions are bit-identical across
-    // serial, thread-per-call, and pooled execution.
+    // serial, call-scoped-pool and persistent-pool execution.
     ParallelSampleOptions parallel;
     parallel.num_threads = options_.sampling_threads;
     parallel.seed = options_.seed ^ 0xfeedfaceULL;

@@ -112,8 +112,8 @@ struct ExtractorOptions {
   // partial draws instead of failing when sources misbehave. The resulting
   // AnswerStatistics carries a DegradationReport. Chaos runs use the
   // chunk-indexed driver at every execution width, so with a fixed seed the
-  // extraction is bit-identical across serial, thread-per-call, and pooled
-  // sampling of any width.
+  // extraction is bit-identical across serial, call-scoped-pool and
+  // persistent-pool sampling of any width.
   std::optional<FaultToleranceOptions> fault_tolerance;
   // uniS worker threads for the sampling phase: 1 = in-line (default),
   // 0 = hardware concurrency, k = k threads. Ignored under `adaptive`

@@ -19,8 +19,8 @@
 // exactly ONE sampling stream — the serial batch, or one chunk of the
 // chunk-indexed parallel driver. Fault decisions are keyed by (source,
 // draw epoch, attempt), and epochs are global draw indices, so a chaos run
-// is bit-identical across serial, thread-per-call, and pool execution of
-// any width. No wall clocks anywhere (lint rule R7).
+// is bit-identical across serial, call-scoped-pool and persistent-pool
+// execution of any width. No wall clocks anywhere (lint rule R7).
 
 #ifndef VASTATS_DATAGEN_SOURCE_ACCESSOR_H_
 #define VASTATS_DATAGEN_SOURCE_ACCESSOR_H_

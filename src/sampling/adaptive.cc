@@ -1,6 +1,8 @@
 #include "sampling/adaptive.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "stats/descriptive.h"
 #include "stats/jackknife.h"
@@ -8,7 +10,7 @@
 namespace vastats {
 namespace {
 
-// One bootstrap-and-check round shared by the plain and degraded loops:
+// One bootstrap-and-check round of the growth loop:
 // bootstraps the mean CI and resolves the (possibly relative) length target.
 struct RoundCheck {
   ConfidenceInterval ci;
@@ -49,6 +51,46 @@ Result<RoundCheck> CheckRound(const std::vector<double>& samples,
   return round;
 }
 
+// The grow-bootstrap-check loop behind both entry points. `draw(count)`
+// requests `count` more draws, appending the usable ones to `result`;
+// `exhausted()` reports a source-access budget that ran out before
+// options.max_size requested draws.
+Status GrowUntilTight(const AdaptiveSamplingOptions& options, Rng& rng,
+                      const ObsOptions& obs,
+                      const std::function<Status(int)>& draw,
+                      const std::function<bool()>& exhausted,
+                      AdaptiveSamplingResult& result) {
+  int requested = options.initial_size;
+  VASTATS_RETURN_IF_ERROR(draw(requested));
+  for (;;) {
+    const int budget_left = options.max_size - requested;
+    const bool out_of_budget = budget_left <= 0 || exhausted();
+    if (static_cast<int>(result.samples.size()) >= 4) {
+      obs.GetCounter("adaptive_rounds_total").Increment();
+      VASTATS_ASSIGN_OR_RETURN(const RoundCheck round,
+                               CheckRound(result.samples, options, rng));
+      result.trace.push_back(
+          AdaptiveStep{static_cast<int>(result.samples.size()), round.ci});
+      if (round.floored) result.relative_target_floored = true;
+      if (round.ci.Length() <= round.target) {
+        result.satisfied = true;
+        break;
+      }
+      if (out_of_budget) break;
+    } else if (out_of_budget) {
+      // Too few usable draws to bootstrap, and the budget cannot produce
+      // more. Only dropped draws get here; the fault-free path never drops.
+      return Status::FailedPrecondition(
+          "degraded adaptive sampling could not obtain 4 usable draws "
+          "within the budget (sources too degraded)");
+    }
+    const int grow = std::min(options.increment, budget_left);
+    requested += grow;
+    VASTATS_RETURN_IF_ERROR(draw(grow));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status AdaptiveSamplingOptions::Validate() const {
@@ -76,29 +118,14 @@ Result<AdaptiveSamplingResult> AdaptiveUniSSampling(
 
   ScopedSpan span(obs, "adaptive_sampling");
   AdaptiveSamplingResult result;
-  VASTATS_ASSIGN_OR_RETURN(result.samples,
-                           sampler.Sample(options.initial_size, rng, obs));
-  for (;;) {
-    obs.GetCounter("adaptive_rounds_total").Increment();
-    VASTATS_ASSIGN_OR_RETURN(const RoundCheck round,
-                             CheckRound(result.samples, options, rng));
-    result.trace.push_back(
-        AdaptiveStep{static_cast<int>(result.samples.size()), round.ci});
-    if (round.floored) result.relative_target_floored = true;
-
-    if (round.ci.Length() <= round.target) {
-      result.satisfied = true;
-      break;
-    }
-    if (static_cast<int>(result.samples.size()) >= options.max_size) break;
-
-    const int grow =
-        std::min(options.increment,
-                 options.max_size - static_cast<int>(result.samples.size()));
-    VASTATS_ASSIGN_OR_RETURN(const std::vector<double> extra,
-                             sampler.Sample(grow, rng, obs));
-    result.samples.insert(result.samples.end(), extra.begin(), extra.end());
-  }
+  const auto draw = [&](int count) -> Status {
+    VASTATS_ASSIGN_OR_RETURN(const std::vector<double> batch,
+                             sampler.Sample(count, rng, obs));
+    result.samples.insert(result.samples.end(), batch.begin(), batch.end());
+    return Status::Ok();
+  };
+  VASTATS_RETURN_IF_ERROR(GrowUntilTight(
+      options, rng, obs, draw, [] { return false; }, result));
   span.Annotate("rounds", static_cast<int64_t>(result.trace.size()));
   span.Annotate("final_size", static_cast<int64_t>(result.samples.size()));
   span.Annotate("satisfied", result.satisfied);
@@ -117,12 +144,11 @@ Result<AdaptiveSamplingResult> AdaptiveUniSSamplingDegraded(
 
   ScopedSpan span(obs, "adaptive_sampling_degraded");
   AdaptiveSamplingResult result;
-
-  const auto draw_batch = [&](int count) -> Status {
-    const auto batch = sampler.SampleDegraded(count, rng, session, obs);
-    if (!batch.ok()) return batch.status();
+  const auto draw = [&](int count) -> Status {
+    VASTATS_ASSIGN_OR_RETURN(const std::vector<UniSSample> batch,
+                             sampler.SampleDegraded(count, rng, session, obs));
     result.draws_requested += count;
-    for (const UniSSample& s : *batch) {
+    for (const UniSSample& s : batch) {
       if (s.coverage < min_draw_coverage) {
         ++result.dropped_draws;
         continue;
@@ -131,41 +157,12 @@ Result<AdaptiveSamplingResult> AdaptiveUniSSamplingDegraded(
       result.coverages.push_back(s.coverage);
     }
     // Zero-coverage and budget-abandoned draws never made it into the batch.
-    result.dropped_draws += count - static_cast<int>(batch->size());
+    result.dropped_draws += count - static_cast<int>(batch.size());
     return Status::Ok();
   };
-
-  VASTATS_RETURN_IF_ERROR(draw_batch(options.initial_size));
-  for (;;) {
-    const int budget_left = options.max_size - result.draws_requested;
-    if (static_cast<int>(result.samples.size()) < 4) {
-      // Not enough usable draws to bootstrap yet: keep growing, or give up
-      // when the budget cannot produce a checkable sample at all.
-      if (budget_left <= 0 || session.SessionBudgetExhausted()) {
-        return Status::FailedPrecondition(
-            "degraded adaptive sampling could not obtain 4 usable draws "
-            "within the budget (sources too degraded)");
-      }
-      VASTATS_RETURN_IF_ERROR(
-          draw_batch(std::min(options.increment, budget_left)));
-      continue;
-    }
-
-    obs.GetCounter("adaptive_rounds_total").Increment();
-    VASTATS_ASSIGN_OR_RETURN(const RoundCheck round,
-                             CheckRound(result.samples, options, rng));
-    result.trace.push_back(
-        AdaptiveStep{static_cast<int>(result.samples.size()), round.ci});
-    if (round.floored) result.relative_target_floored = true;
-
-    if (round.ci.Length() <= round.target) {
-      result.satisfied = true;
-      break;
-    }
-    if (budget_left <= 0 || session.SessionBudgetExhausted()) break;
-    VASTATS_RETURN_IF_ERROR(
-        draw_batch(std::min(options.increment, budget_left)));
-  }
+  VASTATS_RETURN_IF_ERROR(GrowUntilTight(
+      options, rng, obs, draw,
+      [&session] { return session.SessionBudgetExhausted(); }, result));
   span.Annotate("rounds", static_cast<int64_t>(result.trace.size()));
   span.Annotate("final_size", static_cast<int64_t>(result.samples.size()));
   span.Annotate("requested", static_cast<int64_t>(result.draws_requested));

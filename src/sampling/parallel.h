@@ -5,23 +5,24 @@
 // Determinism contract (thread-count-invariant): the n requested draws are
 // partitioned into fixed-size chunks of `chunk_draws` samples, and every
 // chunk owns an independent RNG stream derived from the master seed and the
-// *chunk index* — never from a thread id. Workers (pool or thread-per-call)
-// only decide which chunk they execute next, not what that chunk produces,
-// so the output is bit-identical for a fixed (seed, n, chunk_draws) across
-// ANY execution width: serial, 1/2/4/k thread-per-call workers, or a
-// persistent pool of any size. (This deliberately replaces the seed's old
-// contract, where the stream partitioning depended on num_threads and
-// different thread counts produced different samples.)
+// *chunk index* — never from a thread id. Workers only decide which chunk
+// they execute next, not what that chunk produces, so the output is
+// bit-identical for a fixed (seed, n, chunk_draws) across ANY execution
+// width and dispatch. (This deliberately replaces the seed's old contract,
+// where the stream partitioning depended on num_threads and different
+// thread counts produced different samples.)
 //
-// Execution modes:
+// Dispatch: every entry point runs its chunks through one driver, which
+// runs them with ThreadPool::ParallelFor.
 //  * options.pool != nullptr — chunks run as tasks on the persistent
 //    worker pool; no threads are created by this call.
-//  * options.pool == nullptr — legacy thread-per-call dispatch
-//    (options.num_threads workers are spawned and joined; <= 1 resolved
-//    workers runs inline on the calling thread).
+//  * options.pool == nullptr — the width is options.num_threads (0 means
+//    hardware concurrency), capped at the chunk count. A width w > 1 runs
+//    the chunks on a call-scoped pool of w - 1 workers plus the caller; a
+//    width of 1 runs them inline on the calling thread.
 // Both modes produce identical samples; `bench/micro_pipeline`'s
-// BM_ParallelSamplePool and BM_ParallelSampleThreadPerCall compare their
-// dispatch cost.
+// BM_ParallelSamplePool and BM_ParallelSampleNoPool compare their dispatch
+// cost.
 
 #ifndef VASTATS_SAMPLING_PARALLEL_H_
 #define VASTATS_SAMPLING_PARALLEL_H_
@@ -42,7 +43,7 @@
 namespace vastats {
 
 struct ParallelSampleOptions {
-  // Thread-per-call mode width; 0 means hardware_concurrency (at least 1).
+  // Width without a pool; 0 means hardware_concurrency (at least 1).
   // Ignored when `pool` is set (the pool's width applies).
   int num_threads = 0;
   uint64_t seed = 0x5eed;
@@ -50,12 +51,14 @@ struct ParallelSampleOptions {
   // changing it changes which stream produces which slot (but the result
   // stays independent of thread count and pool size).
   int chunk_draws = 64;
-  // Borrowed persistent pool; null selects thread-per-call dispatch.
+  // Borrowed persistent pool; null runs the chunks on a call-scoped pool of
+  // num_threads - 1 workers plus the caller.
   ThreadPool* pool = nullptr;
   // Optional telemetry. The span is recorded from the calling thread only;
   // workers report through the (sharded, thread-safe) metrics registry:
-  // the shared uniS draw/visit counters plus a per-chunk draw-count
-  // histogram, and the pool adds its queue/task/latency series.
+  // the shared uniS counters and per-draw histogram (UniSDrawCounters)
+  // plus a per-chunk draw-count histogram, and the pool adds its
+  // queue/task/latency series.
   ObsOptions obs;
   // When set, every chunk's AccessSession routes its visits through a
   // fresh transport channel from this factory (one channel per stream, the
@@ -74,8 +77,8 @@ using ChunkSampleFn =
 
 // Generic chunk-indexed sampling driver: partitions n slots into chunks,
 // derives one RNG stream per chunk, and executes `chunk_fn` per chunk on
-// the pool (or thread-per-call workers). On any chunk failure the error of
-// the lowest failing chunk index is returned and no partial result leaks.
+// the borrowed or a call-scoped pool. On any chunk failure the error of the
+// lowest failing chunk index is returned and no partial result leaks.
 Result<std::vector<double>> ParallelChunkedSample(
     int n, const ParallelSampleOptions& options, const ChunkSampleFn& chunk_fn);
 
@@ -98,14 +101,15 @@ struct FaultAwareSampleResult {
   AccessStats access;
 };
 
-// Draws `n` answers through the fault-tolerant access seam using the same
-// chunk-indexed determinism contract as ParallelUniSSample: chunk RNG
-// streams are keyed by chunk index, fault epochs are global slot indices,
-// and every chunk owns a private AccessSession (breaker state and virtual
-// clock confined to one stream). Output — kept values, coverages, dropped
-// count, and merged AccessStats — is bit-identical across serial (pool ==
-// nullptr, num_threads == 1), thread-per-call, and pool execution of any
-// width. Draws with coverage < `min_coverage` are dropped, not errors.
+// Draws `n` answers through the fault-tolerant access seam: a chunk
+// function over the same driver as ParallelUniSSample. Chunk RNG streams
+// are keyed by chunk index, fault epochs are global slot indices, and every
+// chunk owns a private AccessSession (breaker state and virtual clock
+// confined to one stream). Output — kept values, coverages, dropped count,
+// and merged AccessStats — is bit-identical across every width, with or
+// without a pool. Draws with coverage < `min_coverage` are dropped, not
+// errors. With a null fault model it draws exactly ParallelUniSSample's
+// values and reports the same uniS counters.
 Result<FaultAwareSampleResult> ParallelUniSSampleWithFaults(
     const UniSSampler& sampler, int n, const SourceAccessor& accessor,
     double min_coverage, const ParallelSampleOptions& options);

@@ -10,31 +10,36 @@ namespace {
 // up to well past any realistic source count per draw.
 constexpr double kVisitBuckets[] = {1, 2, 4, 8, 16, 32, 64, 128, 256};
 
-// Telemetry for a batch of uniS draws, flushed once per batch so the
-// per-draw hot path costs nothing beyond integer adds.
-struct BatchCounters {
-  uint64_t visits = 0;
-  uint64_t takeovers = 0;
-  uint64_t contributing = 0;
-
-  void Record(const UniSSample& sample) {
-    visits += static_cast<uint64_t>(sample.sources_visited);
-    contributing += static_cast<uint64_t>(sample.sources_contributing);
-    for (const UniSVisit& visit : sample.visits) {
-      takeovers += static_cast<uint64_t>(visit.components_taken);
-    }
-  }
-
-  void Flush(const ObsOptions& obs, uint64_t draws) const {
-    if (obs.metrics == nullptr) return;
-    obs.GetCounter("unis_draws_total").Increment(draws);
-    obs.GetCounter("unis_source_visits_total").Increment(visits);
-    obs.GetCounter("unis_component_takeovers_total").Increment(takeovers);
-    obs.GetCounter("unis_contributing_sources_total").Increment(contributing);
-  }
-};
-
 }  // namespace
+
+UniSDrawCounters::UniSDrawCounters(const ObsOptions& obs,
+                                   bool visited_histogram)
+    : obs_(obs) {
+  if (visited_histogram) {
+    visited_ = obs.GetHistogram("unis_sources_visited_per_draw", kVisitBuckets);
+  }
+}
+
+void UniSDrawCounters::Record(const UniSSample& sample) {
+  if (obs_.metrics == nullptr) return;
+  ++draws_;
+  visits_ += static_cast<uint64_t>(sample.sources_visited);
+  contributing_ += static_cast<uint64_t>(sample.sources_contributing);
+  for (const UniSVisit& visit : sample.visits) {
+    takeovers_ += static_cast<uint64_t>(visit.components_taken);
+  }
+  if (visited_.attached()) {
+    visited_.Observe(static_cast<double>(sample.sources_visited));
+  }
+}
+
+void UniSDrawCounters::Flush() const {
+  if (obs_.metrics == nullptr) return;
+  obs_.GetCounter("unis_draws_total").Increment(draws_);
+  obs_.GetCounter("unis_source_visits_total").Increment(visits_);
+  obs_.GetCounter("unis_component_takeovers_total").Increment(takeovers_);
+  obs_.GetCounter("unis_contributing_sources_total").Increment(contributing_);
+}
 
 UniSSampler::UniSSampler(const SourceSet* sources, AggregateQuery query,
                          UniSOptions options)
@@ -74,16 +79,39 @@ void UniSSampler::BuildIndex() {
   }
 }
 
+std::vector<int> UniSSampler::UniformOrder(
+    Rng& rng, std::span<const char> excluded) const {
+  const int num_sources = sources_->NumSources();
+  std::vector<int> order;
+  order.reserve(static_cast<size_t>(num_sources));
+  for (int s = 0; s < num_sources; ++s) {
+    if (!excluded.empty() && excluded[static_cast<size_t>(s)]) continue;
+    order.push_back(s);
+  }
+  rng.Shuffle(order);
+  return order;
+}
+
 Result<UniSSample> UniSSampler::SampleOne(
     Rng& rng, std::span<const char> excluded) const {
-  return SampleOneImpl(rng, excluded, nullptr);
+  return Draw<false>(UniformOrder(rng, excluded), nullptr, nullptr);
 }
 
 Result<UniSSample> UniSSampler::SampleOneRecorded(
     Rng& rng, std::vector<UniSTake>& takes,
     std::span<const char> excluded) const {
   takes.clear();
-  return SampleOneImpl(rng, excluded, &takes);
+  return Draw<false>(UniformOrder(rng, excluded), nullptr, &takes);
+}
+
+Result<UniSSample> UniSSampler::SampleOneInOrder(
+    std::span<const int> order) const {
+  return Draw<false>(order, nullptr, nullptr);
+}
+
+Result<UniSSample> UniSSampler::SampleOneDegraded(
+    Rng& rng, AccessSession& session, std::span<const char> excluded) const {
+  return Draw<true>(UniformOrder(rng, excluded), &session, nullptr);
 }
 
 Result<double> UniSSampler::ReplayTakes(std::span<const UniSTake> takes,
@@ -95,20 +123,24 @@ Result<double> UniSSampler::ReplayTakes(std::span<const UniSTake> takes,
   return partial->Finalize();
 }
 
-Result<UniSSample> UniSSampler::SampleOneImpl(
-    Rng& rng, std::span<const char> excluded,
-    std::vector<UniSTake>* takes) const {
-  const int num_sources = sources_->NumSources();
+template <bool kThroughSeam>
+Result<UniSSample> UniSSampler::Draw(std::span<const int> order,
+                                     AccessSession* session,
+                                     std::vector<UniSTake>* takes) const {
   const int m = NumComponents();
-
-  // Random visiting order over the allowed sources.
-  std::vector<int> order;
-  order.reserve(static_cast<size_t>(num_sources));
-  for (int s = 0; s < num_sources; ++s) {
-    if (!excluded.empty() && excluded[static_cast<size_t>(s)]) continue;
-    order.push_back(s);
+  if constexpr (kThroughSeam) {
+    if (session->transport_attached()) {
+      // Stage the order so a pipelined transport can prefetch the visit
+      // sequence ahead of consumption. Staging never touches the rng or
+      // the virtual clock, so the drawn sample is unchanged.
+      std::vector<int> counts(order.size(), 0);
+      for (size_t i = 0; i < order.size(); ++i) {
+        counts[i] = static_cast<int>(
+            per_source_[static_cast<size_t>(order[i])].size());
+      }
+      session->StageVisits(order, counts);
+    }
   }
-  rng.Shuffle(order);
 
   std::vector<char> covered(static_cast<size_t>(m), 0);
   int num_covered = 0;
@@ -117,11 +149,53 @@ Result<UniSSample> UniSSampler::SampleOneImpl(
 
   UniSSample sample;
   sample.visits.reserve(order.size());
+  // Transported bindings of the current visit, mapped to query positions.
+  std::vector<std::pair<int, double>> payload;
   for (const int s : order) {
-    ++sample.sources_visited;
+    std::span<const std::pair<int, double>> bindings =
+        per_source_[static_cast<size_t>(s)];
+    if constexpr (kThroughSeam) {
+      if (session->DrawDeadlineExhausted()) {
+        sample.truncated_by_deadline = true;
+        session->RecordDeadlineTruncation();
+        break;
+      }
+      const AccessSession::VisitOutcome outcome =
+          session->Visit(s, static_cast<int>(bindings.size()));
+      if (outcome.skipped_breaker_open) {
+        ++sample.sources_skipped_open;
+        continue;
+      }
+      ++sample.sources_visited;
+      if (!outcome.ok) {
+        ++sample.sources_failed;
+        sample.visits.push_back(UniSVisit{s, 0});
+        continue;
+      }
+      if (session->transport_attached()) {
+        // Bind from the transferred payload: the wire carries the source's
+        // full sorted bindings, and filtering them through the query
+        // position map reproduces per_source_'s (pos, value) sequence
+        // exactly — so a model-virtual transport draw is bit-identical to
+        // a simulated one.
+        payload.clear();
+        for (const TransportBinding& binding : session->last_payload()) {
+          const auto it = position_.find(binding.component);
+          if (it != position_.end()) {
+            payload.emplace_back(it->second, binding.value);
+          }
+        }
+        bindings = payload;
+      }
+    } else {
+      ++sample.sources_visited;
+    }
     int taken = 0;
-    for (const auto& [pos, value] : per_source_[static_cast<size_t>(s)]) {
+    for (const auto& [pos, value] : bindings) {
       if (covered[static_cast<size_t>(pos)]) continue;
+      if constexpr (kThroughSeam) {
+        if (session->ValueCorrupted(s, pos)) continue;
+      }
       covered[static_cast<size_t>(pos)] = 1;
       ++num_covered;
       partial->Add(value);
@@ -134,103 +208,17 @@ Result<UniSSample> UniSSampler::SampleOneImpl(
   }
 
   sample.coverage = static_cast<double>(num_covered) / static_cast<double>(m);
-  if (num_covered < m && options_.require_full_coverage) {
+  if constexpr (kThroughSeam) {
+    if (num_covered == 0) {
+      // Nothing bound: no answer to finalize. Degraded, not an error — the
+      // caller drops the draw and keeps sampling.
+      sample.value_valid = false;
+      return sample;
+    }
+  } else if (num_covered < m && options_.require_full_coverage) {
     return Status::FailedPrecondition(
         "uniS covered only " + std::to_string(num_covered) + " of " +
         std::to_string(m) + " components (sources missing or excluded)");
-  }
-  VASTATS_ASSIGN_OR_RETURN(sample.value, partial->Finalize());
-  return sample;
-}
-
-Result<UniSSample> UniSSampler::SampleOneDegraded(
-    Rng& rng, AccessSession& session, std::span<const char> excluded) const {
-  const int num_sources = sources_->NumSources();
-  const int m = NumComponents();
-
-  std::vector<int> order;
-  order.reserve(static_cast<size_t>(num_sources));
-  for (int s = 0; s < num_sources; ++s) {
-    if (!excluded.empty() && excluded[static_cast<size_t>(s)]) continue;
-    order.push_back(s);
-  }
-  rng.Shuffle(order);
-  if (session.transport_attached()) {
-    // Stage the shuffled order so a pipelined transport can prefetch the
-    // visit sequence ahead of consumption. Staging never touches the rng
-    // or the virtual clock, so the drawn sample is unchanged.
-    std::vector<int> counts(order.size(), 0);
-    for (size_t i = 0; i < order.size(); ++i) {
-      counts[i] = static_cast<int>(
-          per_source_[static_cast<size_t>(order[i])].size());
-    }
-    session.StageVisits(order, counts);
-  }
-
-  std::vector<char> covered(static_cast<size_t>(m), 0);
-  int num_covered = 0;
-  const std::unique_ptr<PartialAggregator> partial =
-      NewAggregator(query_.kind, query_.quantile_q);
-
-  UniSSample sample;
-  sample.visits.reserve(order.size());
-  for (const int s : order) {
-    if (session.DrawDeadlineExhausted()) {
-      sample.truncated_by_deadline = true;
-      session.RecordDeadlineTruncation();
-      break;
-    }
-    const AccessSession::VisitOutcome outcome =
-        session.Visit(s, static_cast<int>(per_source_[static_cast<size_t>(s)]
-                                              .size()));
-    if (outcome.skipped_breaker_open) {
-      ++sample.sources_skipped_open;
-      continue;
-    }
-    ++sample.sources_visited;
-    if (!outcome.ok) {
-      ++sample.sources_failed;
-      sample.visits.push_back(UniSVisit{s, 0});
-      continue;
-    }
-    int taken = 0;
-    if (session.transport_attached()) {
-      // Bind from the transferred payload: the wire carries the source's
-      // full sorted bindings, and filtering them through the query position
-      // map reproduces per_source_'s (pos, value) sequence exactly — so a
-      // model-virtual transport draw is bit-identical to a simulated one.
-      for (const TransportBinding& binding : session.last_payload()) {
-        const auto it = position_.find(binding.component);
-        if (it == position_.end()) continue;
-        const int pos = it->second;
-        if (covered[static_cast<size_t>(pos)]) continue;
-        if (session.ValueCorrupted(s, pos)) continue;
-        covered[static_cast<size_t>(pos)] = 1;
-        ++num_covered;
-        partial->Add(binding.value);
-        ++taken;
-      }
-    } else {
-      for (const auto& [pos, value] : per_source_[static_cast<size_t>(s)]) {
-        if (covered[static_cast<size_t>(pos)]) continue;
-        if (session.ValueCorrupted(s, pos)) continue;
-        covered[static_cast<size_t>(pos)] = 1;
-        ++num_covered;
-        partial->Add(value);
-        ++taken;
-      }
-    }
-    sample.visits.push_back(UniSVisit{s, taken});
-    if (taken > 0) ++sample.sources_contributing;
-    if (num_covered == m) break;
-  }
-
-  sample.coverage = static_cast<double>(num_covered) / static_cast<double>(m);
-  if (num_covered == 0) {
-    // Nothing bound: no answer to finalize. Degraded, not an error — the
-    // caller drops the draw and keeps sampling.
-    sample.value_valid = false;
-    return sample;
   }
   VASTATS_ASSIGN_OR_RETURN(sample.value, partial->Finalize());
   return sample;
@@ -240,7 +228,7 @@ Result<std::vector<UniSSample>> UniSSampler::SampleDegraded(
     int n, Rng& rng, AccessSession& session, const ObsOptions& obs) const {
   if (n <= 0) return Status::InvalidArgument("SampleDegraded requires n > 0");
   ScopedSpan span(obs, "unis_sample_degraded");
-  BatchCounters batch;
+  UniSDrawCounters counters(obs);
   uint64_t draws = 0;
   std::vector<UniSSample> samples;
   samples.reserve(static_cast<size_t>(n));
@@ -249,11 +237,11 @@ Result<std::vector<UniSSample>> UniSSampler::SampleDegraded(
     session.BeginNextDraw();
     VASTATS_ASSIGN_OR_RETURN(UniSSample s, SampleOneDegraded(rng, session));
     ++draws;
-    if (obs.metrics != nullptr) batch.Record(s);
+    counters.Record(s);
     if (!s.value_valid) continue;
     samples.push_back(std::move(s));
   }
-  batch.Flush(obs, draws);
+  counters.Flush();
   span.Annotate("draws", static_cast<int64_t>(draws));
   span.Annotate("kept", static_cast<int64_t>(samples.size()));
   return samples;
@@ -263,20 +251,15 @@ Result<std::vector<double>> UniSSampler::Sample(int n, Rng& rng,
                                                 const ObsOptions& obs) const {
   if (n <= 0) return Status::InvalidArgument("Sample requires n > 0");
   ScopedSpan span(obs, "unis_sample");
-  Histogram visited =
-      obs.GetHistogram("unis_sources_visited_per_draw", kVisitBuckets);
-  BatchCounters batch;
+  UniSDrawCounters counters(obs, /*visited_histogram=*/true);
   std::vector<double> values;
   values.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     VASTATS_ASSIGN_OR_RETURN(const UniSSample s, SampleOne(rng));
     values.push_back(s.value);
-    if (obs.metrics != nullptr) {
-      batch.Record(s);
-      visited.Observe(static_cast<double>(s.sources_visited));
-    }
+    counters.Record(s);
   }
-  batch.Flush(obs, static_cast<uint64_t>(n));
+  counters.Flush();
   span.Annotate("draws", static_cast<int64_t>(n));
   return values;
 }
@@ -315,15 +298,15 @@ Result<std::vector<double>> UniSSampler::SampleExcluding(
     mask[static_cast<size_t>(s)] = 1;
   }
   ScopedSpan span(obs, "unis_sample_excluding");
-  BatchCounters batch;
+  UniSDrawCounters counters(obs);
   std::vector<double> values;
   values.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     VASTATS_ASSIGN_OR_RETURN(const UniSSample s, SampleOne(rng, mask));
     values.push_back(s.value);
-    if (obs.metrics != nullptr) batch.Record(s);
+    counters.Record(s);
   }
-  batch.Flush(obs, static_cast<uint64_t>(n));
+  counters.Flush();
   span.Annotate("draws", static_cast<int64_t>(n));
   span.Annotate("excluded", static_cast<int64_t>(excluded.size()));
   return values;
@@ -356,14 +339,14 @@ Result<double> UniSSampler::EstimateSourcesPerAnswer(
     return Status::InvalidArgument("EstimateSourcesPerAnswer needs probes > 0");
   }
   ScopedSpan span(obs, "unis_estimate_weight");
-  BatchCounters batch;
+  UniSDrawCounters counters(obs);
   double total = 0.0;
   for (int i = 0; i < probes; ++i) {
     VASTATS_ASSIGN_OR_RETURN(const UniSSample s, SampleOne(rng));
     total += static_cast<double>(s.sources_contributing);
-    if (obs.metrics != nullptr) batch.Record(s);
+    counters.Record(s);
   }
-  batch.Flush(obs, static_cast<uint64_t>(probes));
+  counters.Flush();
   const double y = total / static_cast<double>(probes);
   span.Annotate("probes", static_cast<int64_t>(probes));
   span.Annotate("answer_weight_y", y);

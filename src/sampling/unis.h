@@ -13,6 +13,7 @@
 #ifndef VASTATS_SAMPLING_UNIS_H_
 #define VASTATS_SAMPLING_UNIS_H_
 
+#include <cstdint>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -75,6 +76,32 @@ struct UniSTake {
   double value = 0.0;
 };
 
+// Per-draw uniS telemetry, shared by every sampling path (serial, chunked,
+// through the seam): Record() costs integer adds, and Flush() adds the
+// tally to the unis_draws_total, unis_source_visits_total,
+// unis_component_takeovers_total and unis_contributing_sources_total
+// counters once per batch or chunk. With `visited_histogram` set, Record()
+// also observes each draw's visit count in unis_sources_visited_per_draw.
+// Inert without a metrics registry.
+class UniSDrawCounters {
+ public:
+  explicit UniSDrawCounters(const ObsOptions& obs,
+                            bool visited_histogram = false);
+
+  void Record(const UniSSample& sample);
+  void Flush() const;
+
+  uint64_t draws() const { return draws_; }
+
+ private:
+  const ObsOptions& obs_;
+  Histogram visited_;
+  uint64_t draws_ = 0;
+  uint64_t visits_ = 0;
+  uint64_t takeovers_ = 0;
+  uint64_t contributing_ = 0;
+};
+
 class UniSSampler {
  public:
   // Validates that `sources` covers every component of `query` and
@@ -110,6 +137,12 @@ class UniSSampler {
   Result<UniSSample> SampleOneDegraded(
       Rng& rng, AccessSession& session,
       std::span<const char> excluded = {}) const;
+
+  // Draws one answer visiting the sources in the given `order` instead of
+  // a uniform shuffle: the draw loop of SampleOne with the visiting order
+  // as an input. `order` lists distinct source indices in
+  // [0, sources().NumSources()); sources missing from it are never visited.
+  Result<UniSSample> SampleOneInOrder(std::span<const int> order) const;
 
   // Draws `n` answers through the access seam, auto-advancing the session
   // epoch per draw. Draws that covered nothing are dropped; draws cut short
@@ -156,8 +189,15 @@ class UniSSampler {
 
   void BuildIndex();
 
-  Result<UniSSample> SampleOneImpl(Rng& rng, std::span<const char> excluded,
-                                   std::vector<UniSTake>* takes) const;
+  // A uniformly shuffled visiting order over the sources not `excluded`.
+  std::vector<int> UniformOrder(Rng& rng, std::span<const char> excluded) const;
+
+  // The one uniS draw loop. kThroughSeam = false is the fault-free loop
+  // (`session` unused); true routes every visit through `session`. `takes`
+  // (optional) records the draw's takes in visit order.
+  template <bool kThroughSeam>
+  Result<UniSSample> Draw(std::span<const int> order, AccessSession* session,
+                          std::vector<UniSTake>* takes) const;
 
   const SourceSet* sources_;
   AggregateQuery query_;

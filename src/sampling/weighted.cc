@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
-#include "stats/aggregate.h"
 #include "stats/descriptive.h"
 
 namespace vastats {
@@ -92,23 +90,11 @@ Result<std::vector<double>> ApplyBreakerSeverityPriors(
   return weights;
 }
 
-WeightedUniSSampler::WeightedUniSSampler(const SourceSet* sources,
-                                         AggregateQuery query,
-                                         std::vector<double> weights)
-    : sources_(sources),
-      query_(std::move(query)),
-      weights_(std::move(weights)) {
-  BuildIndex();
-}
-
 Result<WeightedUniSSampler> WeightedUniSSampler::Create(
     const SourceSet* sources, AggregateQuery query,
     std::vector<double> weights) {
-  if (sources == nullptr) {
-    return Status::InvalidArgument("WeightedUniSSampler needs a SourceSet");
-  }
-  VASTATS_RETURN_IF_ERROR(query.Validate());
-  VASTATS_RETURN_IF_ERROR(sources->ValidateCoverage(query.components));
+  VASTATS_ASSIGN_OR_RETURN(UniSSampler unis,
+                           UniSSampler::Create(sources, std::move(query)));
   if (static_cast<int>(weights.size()) != sources->NumSources()) {
     return Status::InvalidArgument(
         "weights must have one entry per source");
@@ -118,163 +104,22 @@ Result<WeightedUniSSampler> WeightedUniSSampler::Create(
       return Status::InvalidArgument("weights must be finite and > 0");
     }
   }
-  return WeightedUniSSampler(sources, std::move(query), std::move(weights));
-}
-
-void WeightedUniSSampler::BuildIndex() {
-  const size_t m = query_.components.size();
-  position_.reserve(m);
-  for (size_t i = 0; i < m; ++i) {
-    position_[query_.components[i]] = static_cast<int>(i);
-  }
-  per_source_.assign(static_cast<size_t>(sources_->NumSources()), {});
-  for (int s = 0; s < sources_->NumSources(); ++s) {
-    for (const auto& [component, value] : sources_->source(s).SortedBindings()) {
-      const auto it = position_.find(component);
-      if (it == position_.end()) continue;
-      per_source_[static_cast<size_t>(s)].emplace_back(it->second, value);
-    }
-  }
+  return WeightedUniSSampler(std::move(unis), std::move(weights));
 }
 
 Result<double> WeightedUniSSampler::SampleOne(Rng& rng) const {
-  const int num_sources = sources_->NumSources();
-  const int m = static_cast<int>(query_.components.size());
-
   // Weighted-random permutation via exponential keys: sorting ascending by
   // Exp(w_s) realizes successive sampling proportional to the weights.
-  std::vector<std::pair<double, int>> keyed(
-      static_cast<size_t>(num_sources));
-  for (int s = 0; s < num_sources; ++s) {
-    keyed[static_cast<size_t>(s)] = {
-        rng.Exponential(weights_[static_cast<size_t>(s)]), s};
+  std::vector<std::pair<double, int>> keyed(weights_.size());
+  for (size_t s = 0; s < weights_.size(); ++s) {
+    keyed[s] = {rng.Exponential(weights_[s]), static_cast<int>(s)};
   }
   std::sort(keyed.begin(), keyed.end());
-
-  std::vector<char> covered(static_cast<size_t>(m), 0);
-  int num_covered = 0;
-  const std::unique_ptr<PartialAggregator> partial =
-      NewAggregator(query_.kind, query_.quantile_q);
-  for (const auto& [key, s] : keyed) {
-    for (const auto& [pos, value] : per_source_[static_cast<size_t>(s)]) {
-      if (covered[static_cast<size_t>(pos)]) continue;
-      covered[static_cast<size_t>(pos)] = 1;
-      ++num_covered;
-      partial->Add(value);
-    }
-    if (num_covered == m) break;
-  }
-  return partial->Finalize();
-}
-
-Result<UniSSample> WeightedUniSSampler::SampleOneDegraded(
-    Rng& rng, AccessSession& session) const {
-  const int num_sources = sources_->NumSources();
-  const int m = static_cast<int>(query_.components.size());
-
-  std::vector<std::pair<double, int>> keyed(
-      static_cast<size_t>(num_sources));
-  for (int s = 0; s < num_sources; ++s) {
-    keyed[static_cast<size_t>(s)] = {
-        rng.Exponential(weights_[static_cast<size_t>(s)]), s};
-  }
-  std::sort(keyed.begin(), keyed.end());
-  if (session.transport_attached()) {
-    // Stage the weighted order for prefetch, exactly as UniSSampler does
-    // with its uniform shuffle (see SampleOneDegraded there).
-    std::vector<int> order(keyed.size(), 0);
-    std::vector<int> counts(keyed.size(), 0);
-    for (size_t i = 0; i < keyed.size(); ++i) {
-      order[i] = keyed[i].second;
-      counts[i] = static_cast<int>(
-          per_source_[static_cast<size_t>(keyed[i].second)].size());
-    }
-    session.StageVisits(order, counts);
-  }
-
-  std::vector<char> covered(static_cast<size_t>(m), 0);
-  int num_covered = 0;
-  const std::unique_ptr<PartialAggregator> partial =
-      NewAggregator(query_.kind, query_.quantile_q);
-  UniSSample sample;
-  sample.visits.reserve(keyed.size());
-  for (const auto& [key, s] : keyed) {
-    if (session.DrawDeadlineExhausted()) {
-      sample.truncated_by_deadline = true;
-      session.RecordDeadlineTruncation();
-      break;
-    }
-    const AccessSession::VisitOutcome outcome =
-        session.Visit(s, static_cast<int>(per_source_[static_cast<size_t>(s)]
-                                              .size()));
-    if (outcome.skipped_breaker_open) {
-      ++sample.sources_skipped_open;
-      continue;
-    }
-    ++sample.sources_visited;
-    if (!outcome.ok) {
-      ++sample.sources_failed;
-      sample.visits.push_back(UniSVisit{s, 0});
-      continue;
-    }
-    int taken = 0;
-    if (session.transport_attached()) {
-      // Transported payloads carry the full sorted bindings; the position
-      // map filter reproduces per_source_'s sequence (see UniSSampler).
-      for (const TransportBinding& binding : session.last_payload()) {
-        const auto it = position_.find(binding.component);
-        if (it == position_.end()) continue;
-        const int pos = it->second;
-        if (covered[static_cast<size_t>(pos)]) continue;
-        if (session.ValueCorrupted(s, pos)) continue;
-        covered[static_cast<size_t>(pos)] = 1;
-        ++num_covered;
-        partial->Add(binding.value);
-        ++taken;
-      }
-    } else {
-      for (const auto& [pos, value] : per_source_[static_cast<size_t>(s)]) {
-        if (covered[static_cast<size_t>(pos)]) continue;
-        if (session.ValueCorrupted(s, pos)) continue;
-        covered[static_cast<size_t>(pos)] = 1;
-        ++num_covered;
-        partial->Add(value);
-        ++taken;
-      }
-    }
-    sample.visits.push_back(UniSVisit{s, taken});
-    if (taken > 0) ++sample.sources_contributing;
-    if (num_covered == m) break;
-  }
-
-  sample.coverage = static_cast<double>(num_covered) / static_cast<double>(m);
-  if (num_covered == 0) {
-    sample.value_valid = false;
-    return sample;
-  }
-  VASTATS_ASSIGN_OR_RETURN(sample.value, partial->Finalize());
-  return sample;
-}
-
-Result<std::vector<UniSSample>> WeightedUniSSampler::SampleDegraded(
-    int n, Rng& rng, AccessSession& session, const ObsOptions& obs) const {
-  if (n <= 0) return Status::InvalidArgument("SampleDegraded requires n > 0");
-  ScopedSpan span(obs, "weighted_sample_degraded");
-  uint64_t draws = 0;
-  std::vector<UniSSample> samples;
-  samples.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    if (session.SessionBudgetExhausted()) break;
-    session.BeginNextDraw();
-    VASTATS_ASSIGN_OR_RETURN(UniSSample s, SampleOneDegraded(rng, session));
-    ++draws;
-    if (!s.value_valid) continue;
-    samples.push_back(std::move(s));
-  }
-  obs.GetCounter("weighted_draws_total").Increment(draws);
-  span.Annotate("draws", static_cast<int64_t>(draws));
-  span.Annotate("kept", static_cast<int64_t>(samples.size()));
-  return samples;
+  std::vector<int> order(keyed.size());
+  for (size_t i = 0; i < keyed.size(); ++i) order[i] = keyed[i].second;
+  VASTATS_ASSIGN_OR_RETURN(const UniSSample sample,
+                           unis_.SampleOneInOrder(order));
+  return sample.value;
 }
 
 Result<std::vector<double>> WeightedUniSSampler::Sample(

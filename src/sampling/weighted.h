@@ -18,10 +18,9 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "datagen/source_accessor.h"
 #include "datagen/source_set.h"
 #include "obs/obs.h"
 #include "stats/aggregate_query.h"
@@ -69,7 +68,8 @@ Result<std::vector<double>> ApplyBreakerSeverityPriors(
     const BreakerSeverityPriorOptions& options = {});
 
 // uniS with a weighted-random source visiting order. With equal weights it
-// coincides with UniSSampler (in distribution).
+// coincides with UniSSampler (in distribution). The sampler owns only the
+// order; every draw runs UniSSampler's draw loop over it.
 class WeightedUniSSampler {
  public:
   // `weights` must have one strictly positive entry per source.
@@ -86,37 +86,14 @@ class WeightedUniSSampler {
   Result<std::vector<double>> Sample(int n, Rng& rng,
                                      const ObsOptions& obs = {}) const;
 
-  // Draws one answer through the fault-tolerant access seam: the weighted
-  // visiting order is drawn as usual, but every visit goes through
-  // `session` (retries, breakers, corruption rejection, deadlines).
-  // Partial coverage finalizes over what was covered; a draw that covered
-  // nothing returns with value_valid == false. The caller must have called
-  // session.BeginDraw()/BeginNextDraw() first.
-  Result<UniSSample> SampleOneDegraded(Rng& rng,
-                                       AccessSession& session) const;
-
-  // Draws `n` answers through the seam, auto-advancing the session epoch
-  // per draw; zero-coverage draws are dropped and budget exhaustion stops
-  // the batch early.
-  Result<std::vector<UniSSample>> SampleDegraded(
-      int n, Rng& rng, AccessSession& session,
-      const ObsOptions& obs = {}) const;
-
   const std::vector<double>& weights() const { return weights_; }
 
  private:
-  WeightedUniSSampler(const SourceSet* sources, AggregateQuery query,
-                      std::vector<double> weights);
+  WeightedUniSSampler(UniSSampler unis, std::vector<double> weights)
+      : unis_(std::move(unis)), weights_(std::move(weights)) {}
 
-  void BuildIndex();
-
-  const SourceSet* sources_;
-  AggregateQuery query_;
+  UniSSampler unis_;
   std::vector<double> weights_;
-  // per_source_[s] lists (query position, value) pairs, as in UniSSampler.
-  std::vector<std::vector<std::pair<int, double>>> per_source_;
-  // ComponentId -> query position, for binding transported payloads.
-  std::unordered_map<ComponentId, int> position_;
 };
 
 }  // namespace vastats

@@ -1,7 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "util/stopwatch.h"
@@ -189,56 +188,6 @@ ThreadPool* DefaultThreadPool() {
   // destructor (they may hold the queue mutex while other statics die).
   static ThreadPool* const pool = new ThreadPool();
   return pool;
-}
-
-Status ThreadPerCallParallelFor(int num_tasks, int num_threads,
-                                const std::function<Status(int)>& fn) {
-  if (num_tasks < 0) {
-    return Status::InvalidArgument(
-        "ThreadPerCallParallelFor requires num_tasks >= 0");
-  }
-  if (num_tasks == 0) return Status::Ok();
-  if (num_threads <= 0) {
-    num_threads =
-        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  }
-  num_threads = std::min(num_threads, num_tasks);
-  if (num_threads <= 1) {
-    for (int i = 0; i < num_tasks; ++i) {
-      VASTATS_RETURN_IF_ERROR(fn(i));
-    }
-    return Status::Ok();
-  }
-
-  std::atomic<int> next{0};
-  std::atomic<bool> cancelled{false};
-  std::mutex error_mutex;
-  int error_index = -1;
-  Status error;
-  auto worker = [&] {
-    for (;;) {
-      // Same cancellation rule as the pool: stop claiming after a failure;
-      // claims are in index order so the lowest failing index always ran.
-      if (cancelled.load(std::memory_order_relaxed)) return;
-      const int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= num_tasks) return;
-      Status status = fn(i);
-      if (!status.ok()) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        cancelled.store(true, std::memory_order_relaxed);
-        if (error_index < 0 || i < error_index) {
-          error_index = i;
-          error = std::move(status);
-        }
-      }
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(num_threads));
-  for (int t = 0; t < num_threads; ++t) threads.emplace_back(worker);
-  for (std::thread& thread : threads) thread.join();
-  if (error_index >= 0) return error;
-  return Status::Ok();
 }
 
 }  // namespace vastats

@@ -150,15 +150,6 @@ class ThreadPool {
 // joined from static destructors).
 ThreadPool* DefaultThreadPool();
 
-// One-shot thread-per-call fan-out with the same task semantics and error
-// aggregation as ThreadPool::ParallelFor (tasks claimed in index order off
-// a shared counter, lowest failing index wins). This is the legacy
-// dispatch mode the pool replaces; it is kept for the pool-vs-thread-per-call
-// benchmark comparison and as the fallback when no pool is attached.
-// `num_threads` <= 1 runs inline on the calling thread.
-Status ThreadPerCallParallelFor(int num_tasks, int num_threads,
-                                const std::function<Status(int)>& fn);
-
 }  // namespace vastats
 
 #endif  // VASTATS_UTIL_THREAD_POOL_H_

@@ -129,12 +129,23 @@ TEST(DeterminismTest, WeightedAndMultiSamplersAreBitIdentical) {
   EXPECT_EQ(weighted->Sample(100, rng_a).value(),
             weighted->Sample(100, rng_b).value());
 
-  const auto multi = MultiAggregateSampler::Create(
-      &sources, query.components,
-      {{AggregateKind::kSum, 0.5}, {AggregateKind::kMedian, 0.5}});
+  // Several aggregates from one shared sampling pass: each draw's takes are
+  // recorded once and replayed through every kind.
+  const auto unis = UniSSampler::Create(&sources, query);
+  const auto sample_shared = [&](Rng& rng) {
+    std::vector<std::vector<double>> series(2);
+    std::vector<UniSTake> takes;
+    for (int i = 0; i < 100; ++i) {
+      (void)unis->SampleOneRecorded(rng, takes).value();
+      series[0].push_back(
+          UniSSampler::ReplayTakes(takes, AggregateKind::kSum, 0.5).value());
+      series[1].push_back(
+          UniSSampler::ReplayTakes(takes, AggregateKind::kMedian, 0.5).value());
+    }
+    return series;
+  };
   Rng rng_c(6), rng_d(6);
-  EXPECT_EQ(multi->Sample(100, rng_c).value(),
-            multi->Sample(100, rng_d).value());
+  EXPECT_EQ(sample_shared(rng_c), sample_shared(rng_d));
 }
 
 TEST(DeterminismTest, SimulationsAreBitIdentical) {

@@ -11,7 +11,6 @@
 #include "sampling/adaptive.h"
 #include "sampling/parallel.h"
 #include "sampling/unis.h"
-#include "sampling/weighted.h"
 #include "test_util.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -162,46 +161,9 @@ TEST(DegradedSamplingTest, NullModelDegradedMatchesPlainSampler) {
   }
 }
 
-TEST(DegradedSamplingTest, WeightedDegradedMatchesPlainAndDropsDarkDraws) {
-  const SourceSet set = MakeFigure1Sources();
-  const std::vector<double> weights = {1.0, 2.0, 3.0, 4.0};
-  const auto sampler = WeightedUniSSampler::Create(
-      &set, MakeFigure1Query(AggregateKind::kAverage), weights);
-  ASSERT_TRUE(sampler.ok());
-
-  const auto accessor = SourceAccessor::Create(4, nullptr);
-  ASSERT_TRUE(accessor.ok());
-  AccessSession session = accessor->StartSession();
-  Rng plain_rng(777);
-  Rng degraded_rng(777);
-  for (int draw = 0; draw < 16; ++draw) {
-    const auto plain = sampler->SampleOne(plain_rng);
-    ASSERT_TRUE(plain.ok());
-    session.BeginNextDraw();
-    const auto degraded = sampler->SampleOneDegraded(degraded_rng, session);
-    ASSERT_TRUE(degraded.ok());
-    EXPECT_TRUE(degraded->value_valid);
-    EXPECT_DOUBLE_EQ(degraded->value, *plain);
-    EXPECT_DOUBLE_EQ(degraded->coverage, 1.0);
-  }
-
-  FaultModelOptions fault;
-  fault.outage_fraction = 1.0;
-  fault.outage_epoch = 0;
-  const auto model = FaultModel::Create(4, fault);
-  ASSERT_TRUE(model.ok());
-  const auto dark_accessor = SourceAccessor::Create(4, &*model);
-  ASSERT_TRUE(dark_accessor.ok());
-  AccessSession dark_session = dark_accessor->StartSession();
-  Rng dark_rng(777);
-  const auto batch = sampler->SampleDegraded(8, dark_rng, dark_session);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_TRUE(batch->empty());
-}
-
-// Tentpole acceptance: a chaos run's kept values, coverages, dropped count,
-// and merged access telemetry are bit-identical across serial,
-// thread-per-call (1/4/16 workers), and pool (1/4/16 threads) execution.
+// A chaos run's kept values, coverages, dropped count, and merged access
+// telemetry are bit-identical across serial execution, call-scoped pools
+// (4/16 workers), and persistent pools (1/4/16 threads).
 TEST(ParallelFaultDeterminismTest, ChaosRunIsBitIdenticalAcrossWidths) {
   SyntheticSourceSetOptions source_options;
   source_options.num_sources = 30;

@@ -1,6 +1,8 @@
 #include "sampling/unis.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <vector>
@@ -191,6 +193,71 @@ TEST(UniSSamplerTest, RejectsNonPositiveCounts) {
   Rng rng(12);
   EXPECT_FALSE(sampler.Sample(0, rng).ok());
   EXPECT_FALSE(sampler.EstimateSourcesPerAnswer(0, rng).ok());
+}
+
+// A draw's takes depend on the rng and the component set only, never on
+// the aggregate kind: replaying one recorded draw through any kind's
+// aggregator must equal that kind's own draw on the same rng, bit for bit.
+TEST(UniSRecordReplayTest, ReplayEqualsEveryKindsOwnDraw) {
+  const SourceSet sources = testing::MakeFigure1Sources();
+  const UniSSampler recorder = MakeFigure1Sampler(sources);
+  const AggregateKind kinds[] = {
+      AggregateKind::kSum,      AggregateKind::kAverage, AggregateKind::kCount,
+      AggregateKind::kMin,      AggregateKind::kMax,
+      AggregateKind::kVariance, AggregateKind::kStdDev,
+      AggregateKind::kMedian,   AggregateKind::kQuantile};
+  // D1 and D4 excluded: D2 and D3 still cover every component.
+  const std::vector<std::vector<char>> exclusions = {{}, {1, 0, 0, 1}};
+  for (const std::vector<char>& excluded : exclusions) {
+    for (const AggregateKind kind : kinds) {
+      AggregateQuery query = testing::MakeFigure1Query(kind);
+      query.quantile_q = 0.8;
+      const auto own = UniSSampler::Create(&sources, query);
+      ASSERT_TRUE(own.ok());
+      Rng record_rng(21);
+      Rng own_rng(21);
+      std::vector<UniSTake> takes;
+      for (int draw = 0; draw < 200; ++draw) {
+        const auto recorded =
+            recorder.SampleOneRecorded(record_rng, takes, excluded);
+        const auto direct = own->SampleOne(own_rng, excluded);
+        ASSERT_TRUE(recorded.ok());
+        ASSERT_TRUE(direct.ok());
+        const auto replayed = UniSSampler::ReplayTakes(takes, kind, 0.8);
+        ASSERT_TRUE(replayed.ok());
+        EXPECT_EQ(std::bit_cast<uint64_t>(*replayed),
+                  std::bit_cast<uint64_t>(direct->value))
+            << AggregateKindToString(kind) << " draw " << draw;
+        EXPECT_EQ(recorded->sources_visited, direct->sources_visited);
+      }
+    }
+  }
+}
+
+TEST(UniSRecordReplayTest, ReplayedKindsAreMutuallyConsistent) {
+  // Every kind replayed from one recorded draw sees the same assignment,
+  // so the answers cohere exactly.
+  const SourceSet sources = testing::MakeFigure1Sources();
+  const UniSSampler sampler = MakeFigure1Sampler(sources);
+  Rng rng(1);
+  std::vector<UniSTake> takes;
+  for (int i = 0; i < 200; ++i) {
+    const auto recorded = sampler.SampleOneRecorded(rng, takes);
+    ASSERT_TRUE(recorded.ok());
+    ASSERT_EQ(takes.size(), 5u);
+    const double sum =
+        UniSSampler::ReplayTakes(takes, AggregateKind::kSum, 0.5).value();
+    const double avg =
+        UniSSampler::ReplayTakes(takes, AggregateKind::kAverage, 0.5).value();
+    const double min =
+        UniSSampler::ReplayTakes(takes, AggregateKind::kMin, 0.5).value();
+    const double max =
+        UniSSampler::ReplayTakes(takes, AggregateKind::kMax, 0.5).value();
+    EXPECT_EQ(sum, recorded->value);
+    EXPECT_NEAR(avg, sum / 5.0, 1e-12);
+    EXPECT_LE(min, avg);
+    EXPECT_GE(max, avg);
+  }
 }
 
 }  // namespace

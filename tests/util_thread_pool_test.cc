@@ -141,40 +141,5 @@ TEST(ThreadPoolTest, DefaultPoolIsAProcessWideSingleton) {
   EXPECT_TRUE(pool->ParallelFor(4, [](int) { return Status::Ok(); }).ok());
 }
 
-TEST(ThreadPerCallParallelForTest, RunsAllTasks) {
-  std::vector<std::atomic<int>> runs(40);
-  const Status status = ThreadPerCallParallelFor(40, 4, [&](int i) {
-    runs[static_cast<size_t>(i)].fetch_add(1);
-    return Status::Ok();
-  });
-  ASSERT_TRUE(status.ok());
-  for (const std::atomic<int>& count : runs) EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPerCallParallelForTest, InlineModeStopsAtTheFirstError) {
-  std::atomic<int> ran{0};
-  const Status status = ThreadPerCallParallelFor(10, 1, [&](int i) {
-    ran.fetch_add(1);
-    if (i == 2) return Status::Internal("task 2");
-    return Status::Ok();
-  });
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.message(), "task 2");
-  EXPECT_EQ(ran.load(), 3);
-}
-
-TEST(ThreadPerCallParallelForTest, ReportsTheLowestFailingTaskIndex) {
-  for (int repeat = 0; repeat < 50; ++repeat) {
-    const Status status = ThreadPerCallParallelFor(16, 4, [](int i) {
-      if (i == 5 || i == 11) {
-        return Status::Internal("task " + std::to_string(i));
-      }
-      return Status::Ok();
-    });
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.message(), "task 5");
-  }
-}
-
 }  // namespace
 }  // namespace vastats
