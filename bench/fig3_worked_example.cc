@@ -6,14 +6,20 @@
 // intervals (I, L, C), and the stability score. The exact viable answer
 // range and the full permutation enumeration are printed alongside, since
 // this scenario is small enough to solve exactly.
+//
+// With --check, also asserts the DESIGN.md §4 criterion and exits nonzero
+// when it fails: the enumeration reaches exactly {89, 93, 96}, each from 8
+// of the 4! = 24 source orders (p = 1/3).
 
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <vector>
 
+#include "checks.h"
 #include "vastats/vastats.h"
 
-namespace vastats {
+namespace vastats::bench {
 namespace {
 
 SourceSet MakeFigure1Sources() {
@@ -45,7 +51,7 @@ void PrintCi(const char* label, const PointEstimate& estimate) {
               estimate.ci.hi, estimate.ci.Length());
 }
 
-int Run() {
+int Run(bool check) {
   std::printf("Figure 3 worked example: Sum(Temp) over the Figure 1 sources\n");
   std::printf("============================================================\n");
 
@@ -131,10 +137,26 @@ int Run() {
               sources.NumSources());
   std::printf("  KDE bandwidth h = %.4f, Psi = %.2f\n",
               stats->stability.bandwidth, stats->stability.psi);
-  return 0;
+  if (!check) return 0;
+
+  std::printf("\n");
+  std::vector<BoundCheck> checks = {
+      {"distinct reachable answers", static_cast<double>(histogram.size()),
+       Bound::kEqual, 3.0}};
+  for (const int answer : {89, 93, 96}) {
+    const auto it = histogram.find(answer);
+    char name[32];
+    std::snprintf(name, sizeof name, "orders reaching %d", answer);
+    checks.push_back({name, it == histogram.end() ? 0.0 : it->second,
+                      Bound::kEqual, 8.0});
+  }
+  return ReportChecks(checks);
 }
 
 }  // namespace
-}  // namespace vastats
+}  // namespace vastats::bench
 
-int main() { return vastats::Run(); }
+int main(int argc, char** argv) {
+  const bool check = argc > 1 && std::strcmp(argv[1], "--check") == 0;
+  return vastats::bench::Run(check);
+}

@@ -25,7 +25,7 @@
 #include <thread>
 #include <vector>
 
-#include "timing_checks.h"
+#include "checks.h"
 #include "vastats/vastats.h"
 #include "workloads.h"
 

@@ -7,17 +7,23 @@
 // lengths. Paper's shape: ratio 1.0 on the two-mode climate sums and a
 // modest blow-up (1.38 / 1.08) on the 7- and 8-mode D3 sums, with coverage
 // between ~74% and ~92%.
+//
+// With --check, also asserts the DESIGN.md §4 criterion and exits nonzero
+// when it fails: 1 <= greedy/optimal <= 1.4 in every row.
 
 #include <cstdio>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "checks.h"
 #include "vastats/vastats.h"
 #include "workloads.h"
 
 namespace vastats::bench {
 namespace {
 
-int Run() {
+int Run(bool check) {
   std::printf("Table 4 reproduction: CIO greedy vs top-slices optimal\n");
   std::printf("(greedy = Algorithm 2 with symmetric mode intervals, as in "
               "the paper's evaluation;\n water-level = this library's exact "
@@ -28,6 +34,7 @@ int Run() {
   std::vector<Workload> workloads = MakeFigure7Workloads();
   const char* figure_tag[] = {"a", "b", "c", "d"};
   int tag = 0;
+  std::vector<BoundCheck> checks;
   for (Workload& workload : workloads) {
     ExtractorOptions options;
     options.seed = 7000 + static_cast<uint64_t>(tag);
@@ -55,13 +62,17 @@ int Run() {
     water.expansion = CioExpansion::kWaterLevel;
     const auto water_result = GreedyCio(stats->density, water);
     const double optimal_length = optimal->total_length_fraction;
+    const double ratio =
+        optimal_length > 0 ? greedy_length / optimal_length : 0.0;
     std::printf("%-5s %-13s %9.4f %9.4f %8.2f%% %15.2f %13.4f\n",
                 figure_tag[tag], workload.label.c_str(), greedy_length,
-                optimal_length, coverage * 100.0,
-                optimal_length > 0 ? greedy_length / optimal_length : 0.0,
+                optimal_length, coverage * 100.0, ratio,
                 water_result.ok()
                     ? water_result->total_length_fraction
                     : -1.0);
+    const std::string row = std::string("greedy/optimal row ") + figure_tag[tag];
+    checks.push_back({row, ratio, Bound::kAtLeast, 1.0});
+    checks.push_back({row, ratio, Bound::kAtMost, 1.4});
     ++tag;
   }
   std::printf("\nPaper's Table 4 for comparison:\n");
@@ -69,10 +80,15 @@ int Run() {
   std::printf("  b  0.2475 0.2475 85.44%%  1.00\n");
   std::printf("  c  0.3764 0.2724 73.82%%  1.38\n");
   std::printf("  d  0.5552 0.5150 92.12%%  1.08\n");
-  return 0;
+  if (!check) return 0;
+  std::printf("\n");
+  return ReportChecks(checks);
 }
 
 }  // namespace
 }  // namespace vastats::bench
 
-int main() { return vastats::bench::Run(); }
+int main(int argc, char** argv) {
+  const bool check = argc > 1 && std::strcmp(argv[1], "--check") == 0;
+  return vastats::bench::Run(check);
+}

@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "timing_checks.h"
+#include "checks.h"
 #include "vastats/vastats.h"
 
 namespace vastats::bench {

@@ -66,16 +66,36 @@ TEST(ThreadPoolTest, ReportsTheLowestFailingTaskIndex) {
 
 TEST(ThreadPoolTest, FailureCancelsUnclaimedTasks) {
   ThreadPool pool(ThreadPoolOptions{.num_threads = 1});
+  // Park the pool's only worker inside a task of another batch, so the
+  // batch under test is drained by its caller alone and no task can be
+  // claimed concurrently with the failing one.
+  std::atomic<int> parked{0};
+  std::atomic<bool> release{false};
+  std::thread blocker([&] {
+    const Status blocked = pool.ParallelFor(2, [&](int) {
+      parked.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+      return Status::Ok();
+    });
+    EXPECT_TRUE(blocked.ok());
+  });
+  // Both tasks running means one is on the worker (the blocker thread runs
+  // only one at a time).
+  while (parked.load() < 2) std::this_thread::yield();
+
   std::atomic<int> ran{0};
   const Status status = pool.ParallelFor(1000, [&](int i) {
     ran.fetch_add(1);
     if (i == 0) return Status::Internal("first task failed");
     return Status::Ok();
   });
+  release.store(true);
+  blocker.join();
   ASSERT_FALSE(status.ok());
-  // Task 0 ran; everything not yet claimed when it failed was skipped. With
-  // one worker plus the caller at most a handful of tasks can slip through.
-  EXPECT_LT(ran.load(), 1000);
+  EXPECT_EQ(status.message(), "first task failed");
+  // Task 0 failed before anything else was claimed, so none of the other
+  // 999 tasks may start.
+  EXPECT_EQ(ran.load(), 1);
 }
 
 TEST(ThreadPoolTest, ConcurrentParallelForCallsShareThePool) {
