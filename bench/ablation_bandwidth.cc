@@ -51,9 +51,7 @@ int Run() {
       double h = 0.0;
       GridDensity density = GridDensity::Create(0, 1, {0, 0}).value();
       if (bagged) {
-        Rng boot_rng(1);
-        const auto sets =
-            BootstrapSets(*samples, BootstrapOptions{}, boot_rng);
+        const auto sets = BootstrapSets(*samples, BootstrapOptions{}, 1);
         const auto result = EstimateBaggedKde(*sets, *samples, kde_options);
         if (!result.ok()) return 1;
         h = result->bandwidth;

@@ -48,7 +48,7 @@ int Run() {
       const double mean = ComputeMoments(*samples).mean();
       const auto replicates = BootstrapReplicates(
           *samples, MomentStatisticFn(MomentStatistic::kMean),
-          BootstrapOptions{}, rng);
+          BootstrapOptions{}, rng.NextUint64());
       if (!replicates.ok()) return 1;
       std::vector<double> jackknife;
       if (method == CiMethod::kBca) {
@@ -81,11 +81,11 @@ int Run() {
   for (const int num_sets : {10, 25, 50, 100, 200}) {
     Moments lengths;
     for (int repeat = 0; repeat < 40; ++repeat) {
-      Rng rng(900 + static_cast<uint64_t>(repeat));
       BootstrapOptions options;
       options.num_sets = num_sets;
       const auto replicates = BootstrapReplicates(
-          *samples, MomentStatisticFn(MomentStatistic::kMean), options, rng);
+          *samples, MomentStatisticFn(MomentStatistic::kMean), options,
+          900 + static_cast<uint64_t>(repeat));
       if (!replicates.ok()) return 1;
       const auto ci = BcaCi(*replicates, mean, 0.90, *jackknife);
       if (!ci.ok()) return 1;

@@ -28,7 +28,8 @@ int Run() {
   KdeOptions kde_options;
   const auto kde = EstimateKde(*samples, kde_options);
   if (!kde.ok()) return 1;
-  const double y = sampler->EstimateSourcesPerAnswer(50, rng).value();
+  const double y =
+      sampler->EstimateSourcesPerAnswer(50, rng.NextUint64()).value();
   const int num_sources = workload.sources->NumSources();
   std::printf("Workload: Sum(D2), |D| = %d, |C| = 500, y = %.1f "
               "sources/answer, h = %.3f\n\n",

@@ -54,9 +54,8 @@ Result<BreakdownRow> MeasureRow(const Workload& workload, int sample_size) {
   // Run the extraction phases on the pre-drawn sample; average over a few
   // repetitions (all recorded into the one trace) to stabilize the clock.
   for (int rep = 0; rep < kReps; ++rep) {
-    Rng phase_rng(7000 + static_cast<uint64_t>(rep));
     VASTATS_ASSIGN_OR_RETURN(const AnswerStatistics stats,
-                             extractor.ExtractFromSamples(samples, phase_rng));
+                             extractor.ExtractFromSamples(samples));
     (void)stats;
   }
 

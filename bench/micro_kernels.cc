@@ -76,10 +76,9 @@ BENCHMARK(BM_BotevBandwidth)->Range(100, 3200);
 // EstimateKde fit of one of those sets on the bag's grid, the unit of the
 // "bag <= 2x one fit" target: read the ratio of each bag to it.
 std::vector<std::vector<double>> BagSets() {
-  Rng rng(7);
   BootstrapOptions options;
   options.num_sets = 50;
-  return BootstrapSets(Samples(400), options, rng).value();
+  return BootstrapSets(Samples(400), options, 7).value();
 }
 
 void RunBaggedKde(benchmark::State& state, BandwidthMode mode) {

@@ -1,7 +1,6 @@
 #include "core/extractor.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "stats/descriptive.h"
@@ -57,11 +56,6 @@ Result<AnswerStatisticsExtractor> AnswerStatisticsExtractor::Create(
   return AnswerStatisticsExtractor(std::move(sampler), std::move(options));
 }
 
-int ResolveSamplingThreads(int sampling_threads, unsigned hardware_concurrency) {
-  if (sampling_threads > 0) return sampling_threads;
-  return static_cast<int>(std::max(1u, hardware_concurrency));
-}
-
 Result<PointEstimate> AnswerStatisticsExtractor::EstimatePoint(
     MomentStatistic statistic, std::span<const double> samples,
     std::span<const std::vector<double>> sets) const {
@@ -103,44 +97,40 @@ bool ReconcilePhaseTimings(PhaseTimings& timings, double total_elapsed_seconds,
   return false;
 }
 
+ParallelSampleOptions AnswerStatisticsExtractor::SamplingOptions() const {
+  ParallelSampleOptions sampling;
+  sampling.num_threads = options_.sampling_threads;
+  sampling.seed = options_.seed;
+  sampling.pool = options_.pool;
+  sampling.obs = options_.obs;
+  return sampling;
+}
+
 Result<AnswerStatistics> AnswerStatisticsExtractor::Extract() const {
   const ObsOptions& obs = options_.obs;
   ScopedSpan extract_span(obs, "extract");
-  Rng rng(options_.seed);
 
-  // Phase 1: uniS sampling (Algorithm 1 line 2).
+  // Phase 1: uniS sampling (Algorithm 1 line 2), draws 0 .. n-1 of the keyed
+  // sample stream at any width.
   ScopedSpan sampling_span(obs, "sampling");
   std::vector<double> samples;
   DegradationReport degradation;
   if (options_.fault_tolerance.has_value()) {
-    VASTATS_ASSIGN_OR_RETURN(degradation,
-                             SampleDegradedPhase(rng, &samples));
+    VASTATS_ASSIGN_OR_RETURN(degradation, SampleDegradedPhase(&samples));
   } else if (options_.adaptive.has_value()) {
     VASTATS_ASSIGN_OR_RETURN(
         AdaptiveSamplingResult adaptive,
-        AdaptiveUniSSampling(sampler_, *options_.adaptive, rng, obs));
+        AdaptiveUniSSampling(sampler_, *options_.adaptive, options_.seed, obs));
     samples = std::move(adaptive.samples);
-  } else if (ResolveSamplingThreads(options_.sampling_threads,
-                                    std::thread::hardware_concurrency()) > 1) {
-    // A request that resolves to a single worker (including
-    // sampling_threads = 0 on a 1-core host) falls through to the serial
-    // sampler below instead of paying the parallel dispatch machinery.
-    ParallelSampleOptions parallel;
-    parallel.num_threads = options_.sampling_threads;
-    parallel.seed = options_.seed ^ 0xfeedfaceULL;
-    parallel.pool = options_.pool;
-    parallel.obs = obs;
-    VASTATS_ASSIGN_OR_RETURN(
-        samples, ParallelUniSSample(sampler_, options_.initial_sample_size,
-                                    parallel));
   } else {
     VASTATS_ASSIGN_OR_RETURN(
-        samples, sampler_.Sample(options_.initial_sample_size, rng, obs));
+        samples, ParallelUniSSample(sampler_, options_.initial_sample_size,
+                                    SamplingOptions()));
   }
   const double sampling_seconds = sampling_span.Close();
 
   VASTATS_ASSIGN_OR_RETURN(AnswerStatistics stats,
-                           ExtractFromSamples(std::move(samples), rng));
+                           ExtractFromSamples(std::move(samples)));
   stats.timings.sampling_seconds = sampling_seconds;
   stats.degradation = std::move(degradation);
 
@@ -152,7 +142,7 @@ Result<AnswerStatistics> AnswerStatisticsExtractor::Extract() const {
 }
 
 Result<DegradationReport> AnswerStatisticsExtractor::SampleDegradedPhase(
-    Rng& rng, std::vector<double>* samples) const {
+    std::vector<double>* samples) const {
   const FaultToleranceOptions& fault = *options_.fault_tolerance;
   const ObsOptions& obs = options_.obs;
   VASTATS_ASSIGN_OR_RETURN(
@@ -176,22 +166,19 @@ Result<DegradationReport> AnswerStatisticsExtractor::SampleDegradedPhase(
     VASTATS_ASSIGN_OR_RETURN(
         AdaptiveSamplingResult adaptive,
         AdaptiveUniSSamplingDegraded(sampler_, *options_.adaptive, session,
-                                     fault.min_draw_coverage, rng, obs));
+                                     fault.min_draw_coverage, options_.seed,
+                                     obs));
     *samples = std::move(adaptive.samples);
     coverages = std::move(adaptive.coverages);
     report.draws_requested = adaptive.draws_requested;
     report.draws_dropped = adaptive.dropped_draws;
     report.access = session.Finish();
   } else {
-    // Chaos runs route through the chunk-indexed driver at EVERY width —
-    // including a resolved width of one — so the drawn samples, the fault
-    // schedule, and the breaker transitions are bit-identical across
-    // serial, call-scoped-pool and persistent-pool execution.
-    ParallelSampleOptions parallel;
-    parallel.num_threads = options_.sampling_threads;
-    parallel.seed = options_.seed ^ 0xfeedfaceULL;
-    parallel.pool = options_.pool;
-    parallel.obs = obs;
+    // The chunk driver at every width, as on the fault-free path: the
+    // drawn samples, the fault schedule, and the breaker transitions are
+    // bit-identical across serial, call-scoped-pool and persistent-pool
+    // execution.
+    ParallelSampleOptions parallel = SamplingOptions();
     if (fault.transport != nullptr) {
       // Each chunk stream opens its own channel; endpoint outcomes stay
       // keyed by global slot epochs, so transported chunks keep the
@@ -250,7 +237,7 @@ Result<DegradationReport> AnswerStatisticsExtractor::SampleDegradedPhase(
 }
 
 Result<AnswerStatistics> AnswerStatisticsExtractor::ExtractFromSamples(
-    std::vector<double> samples, Rng& rng) const {
+    std::vector<double> samples) const {
   if (samples.size() < 8) {
     return Status::InvalidArgument(
         "ExtractFromSamples requires >= 8 viable answer samples");
@@ -279,7 +266,7 @@ Result<AnswerStatistics> AnswerStatisticsExtractor::ExtractFromSamples(
   bootstrap_span.Annotate("pool", options_.pool != nullptr);
   VASTATS_ASSIGN_OR_RETURN(
       const std::vector<std::vector<double>> sets,
-      BootstrapSets(stats.samples, options_.bootstrap, rng));
+      BootstrapSets(stats.samples, options_.bootstrap, options_.seed));
   stats.timings.bootstrap_seconds = bootstrap_span.Close();
 
   // Phases 3-4: bagged point statistics + confidence intervals (lines 4-5).
@@ -340,7 +327,8 @@ Result<AnswerStatistics> AnswerStatisticsExtractor::ExtractFromSamples(
   ScopedSpan stability_span(obs, "stability");
   VASTATS_ASSIGN_OR_RETURN(
       stats.answer_weight_y,
-      sampler_.EstimateSourcesPerAnswer(options_.weight_probes, rng, obs));
+      sampler_.EstimateSourcesPerAnswer(options_.weight_probes, options_.seed,
+                                        obs));
   thread_local DctPlan stability_plan;  // lint-invariants: allow(A5)
   DctPlan* const plan = options_.cache_hooks.plan_provider
                             ? options_.cache_hooks.plan_provider()

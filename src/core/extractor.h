@@ -110,26 +110,27 @@ struct ExtractorOptions {
   // visit through the SourceAccessor seam (retry/backoff, per-source
   // circuit breakers, corruption rejection) and the pipeline degrades to
   // partial draws instead of failing when sources misbehave. The resulting
-  // AnswerStatistics carries a DegradationReport. Chaos runs use the
-  // chunk-indexed driver at every execution width, so with a fixed seed the
-  // extraction is bit-identical across serial, call-scoped-pool and
-  // persistent-pool sampling of any width.
+  // AnswerStatistics carries a DegradationReport. Chaos runs use the same
+  // chunk driver as fault-free ones, so with a fixed seed the extraction is
+  // bit-identical across serial, call-scoped-pool and persistent-pool
+  // sampling of any width.
   std::optional<FaultToleranceOptions> fault_tolerance;
   // uniS worker threads for the sampling phase: 1 = in-line (default),
   // 0 = hardware concurrency, k = k threads. Ignored under `adaptive`
-  // (whose growth loop is inherently sequential). The parallel sampler's
-  // RNG streams are chunk-indexed, so the drawn samples are identical for
-  // every thread count > 1 (and for any pool size); only the dispatch
-  // differs. A request that resolves to one worker collapses onto the
-  // serial sampler (note its samples come from the serial seed stream, not
-  // the chunk-indexed one).
+  // (whose growth loop draws its rounds in-line). Every draw reads its own
+  // keyed stream (sampling/parallel.h), so the drawn samples are identical
+  // for every thread count, 1 included, and for any pool size; only the
+  // dispatch differs.
   int sampling_threads = 1;
   // Borrowed persistent worker pool (optional, may be null). When set, the
   // parallel sampling phase, the per-set bootstrap statistic evaluations,
   // and the per-set KDE fits run as pool tasks instead of spawning threads
   // per call. Results are bit-identical with or without a pool.
   ThreadPool* pool = nullptr;
-  // RNG seed; runs with equal seeds and options are bit-identical.
+  // Key seed of every random decision of the extraction: uniS draw i,
+  // bootstrap set b, weight probe j and adaptive round r each read their
+  // own stream Rng(StreamKey(seed, tag, index)) (util/random.h). Runs with
+  // equal seeds and options are bit-identical.
   uint64_t seed = 0x5eed;
   // Optional cross-extraction sharing seams (see ExtractionCacheHooks).
   // Default-constructed hooks are inert; results are bit-identical with or
@@ -164,12 +165,6 @@ struct PhaseTimings {
            kde_seconds + cio_seconds + stability_seconds;
   }
 };
-
-// Resolves ExtractorOptions.sampling_threads against a hardware concurrency
-// reading: k > 0 stays k; 0 becomes max(1, hardware_concurrency). Exposed so
-// the "resolved width 1 equals the serial sampler" routing is testable on
-// any host.
-int ResolveSamplingThreads(int sampling_threads, unsigned hardware_concurrency);
 
 // Guards the Figure 6 invariant that the per-phase breakdown never exceeds
 // the measured wall time of the whole pipeline (a phase counted twice would
@@ -231,9 +226,15 @@ class AnswerStatisticsExtractor {
   Result<AnswerStatistics> Extract() const;
 
   // Runs phases 2-7 on a pre-drawn viable answer sample (used by the
-  // experiment harnesses to share one expensive sampling pass).
-  Result<AnswerStatistics> ExtractFromSamples(std::vector<double> samples,
-                                              Rng& rng) const;
+  // experiment harnesses and the serving batch path to share one expensive
+  // sampling pass). Its random decisions are keyed by options().seed, so
+  // on Extract()'s own samples it returns exactly what Extract() does.
+  Result<AnswerStatistics> ExtractFromSamples(
+      std::vector<double> samples) const;
+
+  // The chunk-driver options of the sampling phase (width, seed, pool,
+  // telemetry): what Extract() hands to ParallelUniSSample.
+  ParallelSampleOptions SamplingOptions() const;
 
   const UniSSampler& sampler() const { return sampler_; }
   const ExtractorOptions& options() const { return options_; }
@@ -247,9 +248,9 @@ class AnswerStatisticsExtractor {
       std::span<const std::vector<double>> sets) const;
 
   // Phase 1 under options_.fault_tolerance: draws S_uniS through the access
-  // seam (adaptive loop or chunk-indexed driver) and fills the report.
+  // seam (adaptive loop or chunk driver) and fills the report.
   Result<DegradationReport> SampleDegradedPhase(
-      Rng& rng, std::vector<double>* samples) const;
+      std::vector<double>* samples) const;
 
   UniSSampler sampler_;
   ExtractorOptions options_;

@@ -32,7 +32,7 @@ Result<GroupedAnswer> GroupedQueryEvaluator::Evaluate() const {
   answer.groups.reserve(query_.groups.size());
   for (size_t g = 0; g < query_.groups.size(); ++g) {
     ExtractorOptions options = options_;
-    options.seed = options_.seed + g;
+    options.seed = StreamKey(options_.seed, StreamTag::kGroup, g);
     VASTATS_ASSIGN_OR_RETURN(
         const AnswerStatisticsExtractor extractor,
         AnswerStatisticsExtractor::Create(sources_, query_.GroupQuery(g),
@@ -43,7 +43,8 @@ Result<GroupedAnswer> GroupedQueryEvaluator::Evaluate() const {
     if (query_.has_having) {
       // Pass probability over the viable answer samples. When the HAVING
       // aggregate differs from the SELECT aggregate, draw a dedicated
-      // sample of the HAVING aggregate's viable answers.
+      // sample of the HAVING aggregate's viable answers, draw i keyed by
+      // (group seed, kHavingSample, i).
       std::vector<double> having_samples;
       if (query_.having.aggregate == query_.aggregate) {
         having_samples = stats.samples;
@@ -53,11 +54,12 @@ Result<GroupedAnswer> GroupedQueryEvaluator::Evaluate() const {
         VASTATS_ASSIGN_OR_RETURN(
             const UniSSampler having_sampler,
             UniSSampler::Create(sources_, having_query));
-        Rng rng(options.seed ^ 0x9e3779b9ULL);
-        VASTATS_ASSIGN_OR_RETURN(
-            having_samples,
-            having_sampler.Sample(
-                static_cast<int>(stats.samples.size()), rng));
+        for (size_t i = 0; i < stats.samples.size(); ++i) {
+          Rng rng(StreamKey(options.seed, StreamTag::kHavingSample, i));
+          VASTATS_ASSIGN_OR_RETURN(const UniSSample draw,
+                                   having_sampler.SampleOne(rng));
+          having_samples.push_back(draw.value);
+        }
       }
       int passing = 0;
       for (const double v : having_samples) {

@@ -42,8 +42,9 @@ class GroupedQueryEvaluator {
                                               GroupedAggregateQuery query,
                                               ExtractorOptions options);
 
-  // Runs Algorithm 1 per group; group g uses seed options.seed + g so runs
-  // are reproducible and groups independent.
+  // Runs Algorithm 1 per group; group g uses the keyed seed
+  // StreamKey(options.seed, StreamTag::kGroup, g) so runs are reproducible
+  // and groups independent.
   Result<GroupedAnswer> Evaluate() const;
 
   const GroupedAggregateQuery& query() const { return query_; }

@@ -49,7 +49,8 @@ Result<QueryId> ContinuousQueryMonitor::Register(AggregateQuery query) {
   const QueryId id = NumQueries();
   span.Annotate("query_id", static_cast<int64_t>(id));
   ExtractorOptions options = base_options_;
-  options.seed = base_options_.seed + static_cast<uint64_t>(id) * 7919;
+  options.seed = StreamKey(base_options_.seed, StreamTag::kMonitorQuery,
+                           static_cast<uint64_t>(id), /*refresh=*/0);
   VASTATS_ASSIGN_OR_RETURN(
       const AnswerStatisticsExtractor extractor,
       AnswerStatisticsExtractor::Create(sources_, query, options));
@@ -109,8 +110,9 @@ Status ContinuousQueryMonitor::Refresh(QueryId id) {
   span.Annotate("query_id", static_cast<int64_t>(id));
   Entry& entry = entries_[static_cast<size_t>(id)];
   ExtractorOptions options = base_options_;
-  options.seed = base_options_.seed + static_cast<uint64_t>(id) * 7919 +
-                 static_cast<uint64_t>(entry.refreshes);
+  options.seed = StreamKey(base_options_.seed, StreamTag::kMonitorQuery,
+                           static_cast<uint64_t>(id),
+                           static_cast<uint64_t>(entry.refreshes));
   // Re-create the extractor so changed bindings (and broken coverage) are
   // observed.
   auto extractor =

@@ -6,31 +6,6 @@
 #include "util/random.h"
 
 namespace vastats {
-namespace {
-
-// Domain-separation tags for the keyed decision streams: each kind of
-// decision reads an independent-looking stream even for identical
-// (source, epoch, attempt) identifiers.
-constexpr uint64_t kFailTag = 0x7472616e7349656eULL;
-constexpr uint64_t kCorruptTag = 0x636f727275707431ULL;
-constexpr uint64_t kLatencyTag = 0x6c6174656e637931ULL;
-constexpr uint64_t kJitterTag = 0x6a69747465723031ULL;
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-uint64_t MixFaultKey(uint64_t seed, uint64_t a, uint64_t b, uint64_t c) {
-  uint64_t key = SplitMix64(seed ^ a);
-  key = SplitMix64(key ^ b);
-  key = SplitMix64(key ^ c);
-  return key;
-}
 
 Status FaultModelOptions::Validate() const {
   const auto probability = [](double p) { return p >= 0.0 && p <= 1.0; };
@@ -96,20 +71,20 @@ Result<FaultModel> FaultModel::Create(int num_sources,
 bool FaultModel::AttemptFails(int source, int64_t epoch, int attempt) const {
   const double p = failure_prob_[static_cast<size_t>(source)];
   if (p <= 0.0) return false;
-  Rng rng(MixFaultKey(options_.seed ^ kFailTag,
-                      static_cast<uint64_t>(source),
-                      static_cast<uint64_t>(epoch),
-                      static_cast<uint64_t>(attempt)));
+  Rng rng(FaultKey(options_.seed, StreamTag::kFaultFail,
+                   static_cast<uint64_t>(source),
+                   static_cast<uint64_t>(epoch),
+                   static_cast<uint64_t>(attempt)));
   return rng.Bernoulli(p);
 }
 
 bool FaultModel::ValueCorrupted(int source, int64_t epoch,
                                 int component_pos) const {
   if (options_.corrupt_value_prob <= 0.0) return false;
-  Rng rng(MixFaultKey(options_.seed ^ kCorruptTag,
-                      static_cast<uint64_t>(source),
-                      static_cast<uint64_t>(epoch),
-                      static_cast<uint64_t>(component_pos)));
+  Rng rng(FaultKey(options_.seed, StreamTag::kFaultCorrupt,
+                   static_cast<uint64_t>(source),
+                   static_cast<uint64_t>(epoch),
+                   static_cast<uint64_t>(component_pos)));
   return rng.Bernoulli(options_.corrupt_value_prob);
 }
 
@@ -119,10 +94,10 @@ double FaultModel::AttemptLatencyMs(int source, int64_t epoch, int attempt,
                    options_.latency_per_component_ms *
                        static_cast<double>(std::max(num_components, 0));
   if (options_.latency_jitter_sigma > 0.0 && latency > 0.0) {
-    Rng rng(MixFaultKey(options_.seed ^ kLatencyTag,
-                        static_cast<uint64_t>(source),
-                        static_cast<uint64_t>(epoch),
-                        static_cast<uint64_t>(attempt)));
+    Rng rng(FaultKey(options_.seed, StreamTag::kFaultLatency,
+                     static_cast<uint64_t>(source),
+                     static_cast<uint64_t>(epoch),
+                     static_cast<uint64_t>(attempt)));
     latency *= std::exp(rng.Normal(0.0, options_.latency_jitter_sigma));
   }
   return latency;
@@ -130,10 +105,10 @@ double FaultModel::AttemptLatencyMs(int source, int64_t epoch, int attempt,
 
 double FaultModel::BackoffJitterU01(int source, int64_t epoch,
                                     int attempt) const {
-  Rng rng(MixFaultKey(options_.seed ^ kJitterTag,
-                      static_cast<uint64_t>(source),
-                      static_cast<uint64_t>(epoch),
-                      static_cast<uint64_t>(attempt)));
+  Rng rng(FaultKey(options_.seed, StreamTag::kFaultJitter,
+                   static_cast<uint64_t>(source),
+                   static_cast<uint64_t>(epoch),
+                   static_cast<uint64_t>(attempt)));
   return rng.Uniform01();
 }
 

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/random.h"
 #include "util/status.h"
 
 namespace vastats {
@@ -123,10 +124,6 @@ class FaultModel {
   std::vector<int64_t> outage_epoch_;  // per source; -1 = never
   std::vector<int> outage_sources_;
 };
-
-// Mixes a seed and up to three identifiers into a decorrelated 64-bit
-// stream key (splitmix64 finalization per word). Exposed for tests.
-uint64_t MixFaultKey(uint64_t seed, uint64_t a, uint64_t b, uint64_t c);
 
 }  // namespace vastats
 

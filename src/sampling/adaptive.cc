@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 
+#include "sampling/parallel.h"
 #include "stats/descriptive.h"
 #include "stats/jackknife.h"
 
@@ -20,14 +21,14 @@ struct RoundCheck {
 
 Result<RoundCheck> CheckRound(const std::vector<double>& samples,
                               const AdaptiveSamplingOptions& options,
-                              Rng& rng) {
+                              uint64_t seed) {
   RoundCheck round;
   const Moments moments = ComputeMoments(samples);
   const double mean = moments.mean();
   VASTATS_ASSIGN_OR_RETURN(
       const std::vector<double> replicates,
       BootstrapReplicates(samples, MomentStatisticFn(MomentStatistic::kMean),
-                          options.bootstrap, rng));
+                          options.bootstrap, seed));
   std::vector<double> jackknife;
   if (options.ci_method == CiMethod::kBca) {
     VASTATS_ASSIGN_OR_RETURN(jackknife,
@@ -55,7 +56,7 @@ Result<RoundCheck> CheckRound(const std::vector<double>& samples,
 // requests `count` more draws, appending the usable ones to `result`;
 // `exhausted()` reports a source-access budget that ran out before
 // options.max_size requested draws.
-Status GrowUntilTight(const AdaptiveSamplingOptions& options, Rng& rng,
+Status GrowUntilTight(const AdaptiveSamplingOptions& options, uint64_t seed,
                       const ObsOptions& obs,
                       const std::function<Status(int)>& draw,
                       const std::function<bool()>& exhausted,
@@ -67,8 +68,11 @@ Status GrowUntilTight(const AdaptiveSamplingOptions& options, Rng& rng,
     const bool out_of_budget = budget_left <= 0 || exhausted();
     if (static_cast<int>(result.samples.size()) >= 4) {
       obs.GetCounter("adaptive_rounds_total").Increment();
-      VASTATS_ASSIGN_OR_RETURN(const RoundCheck round,
-                               CheckRound(result.samples, options, rng));
+      VASTATS_ASSIGN_OR_RETURN(
+          const RoundCheck round,
+          CheckRound(result.samples, options,
+                     StreamKey(seed, StreamTag::kAdaptiveRound,
+                               result.trace.size())));
       result.trace.push_back(
           AdaptiveStep{static_cast<int>(result.samples.size()), round.ci});
       if (round.floored) result.relative_target_floored = true;
@@ -113,19 +117,25 @@ Status AdaptiveSamplingOptions::Validate() const {
 
 Result<AdaptiveSamplingResult> AdaptiveUniSSampling(
     const UniSSampler& sampler, const AdaptiveSamplingOptions& options,
-    Rng& rng, const ObsOptions& obs) {
+    uint64_t seed, const ObsOptions& obs) {
   VASTATS_RETURN_IF_ERROR(options.Validate());
 
   ScopedSpan span(obs, "adaptive_sampling");
   AdaptiveSamplingResult result;
+  ParallelSampleOptions stream;
+  stream.num_threads = 1;
+  stream.seed = seed;
+  stream.obs = obs;
   const auto draw = [&](int count) -> Status {
-    VASTATS_ASSIGN_OR_RETURN(const std::vector<double> batch,
-                             sampler.Sample(count, rng, obs));
+    VASTATS_ASSIGN_OR_RETURN(
+        const std::vector<double> batch,
+        ParallelUniSSample(sampler, count, stream,
+                           static_cast<int>(result.samples.size())));
     result.samples.insert(result.samples.end(), batch.begin(), batch.end());
     return Status::Ok();
   };
   VASTATS_RETURN_IF_ERROR(GrowUntilTight(
-      options, rng, obs, draw, [] { return false; }, result));
+      options, seed, obs, draw, [] { return false; }, result));
   span.Annotate("rounds", static_cast<int64_t>(result.trace.size()));
   span.Annotate("final_size", static_cast<int64_t>(result.samples.size()));
   span.Annotate("satisfied", result.satisfied);
@@ -135,7 +145,7 @@ Result<AdaptiveSamplingResult> AdaptiveUniSSampling(
 
 Result<AdaptiveSamplingResult> AdaptiveUniSSamplingDegraded(
     const UniSSampler& sampler, const AdaptiveSamplingOptions& options,
-    AccessSession& session, double min_draw_coverage, Rng& rng,
+    AccessSession& session, double min_draw_coverage, uint64_t seed,
     const ObsOptions& obs) {
   VASTATS_RETURN_IF_ERROR(options.Validate());
   if (!(min_draw_coverage >= 0.0 && min_draw_coverage <= 1.0)) {
@@ -146,7 +156,7 @@ Result<AdaptiveSamplingResult> AdaptiveUniSSamplingDegraded(
   AdaptiveSamplingResult result;
   const auto draw = [&](int count) -> Status {
     VASTATS_ASSIGN_OR_RETURN(const std::vector<UniSSample> batch,
-                             sampler.SampleDegraded(count, rng, session, obs));
+                             sampler.SampleDegraded(count, seed, session, obs));
     result.draws_requested += count;
     for (const UniSSample& s : batch) {
       if (s.coverage < min_draw_coverage) {
@@ -161,7 +171,7 @@ Result<AdaptiveSamplingResult> AdaptiveUniSSamplingDegraded(
     return Status::Ok();
   };
   VASTATS_RETURN_IF_ERROR(GrowUntilTight(
-      options, rng, obs, draw,
+      options, seed, obs, draw,
       [&session] { return session.SessionBudgetExhausted(); }, result));
   span.Annotate("rounds", static_cast<int64_t>(result.trace.size()));
   span.Annotate("final_size", static_cast<int64_t>(result.samples.size()));

@@ -3,10 +3,17 @@
 // requested level, and keep drawing increments until the interval is tight
 // enough (or a budget is hit). Minimizing |S_uniS| matters because each uniS
 // draw touches the (possibly remote) data sources.
+//
+// The loop is a stopping rule on one fixed sample stream: round by round it
+// takes draws 0, 1, 2, ... of the keyed uniS stream of `seed` (see
+// sampling/parallel.h), so its first n samples are exactly the samples of a
+// fixed n-draw run, and round r bootstraps from the keyed seed
+// StreamKey(seed, StreamTag::kAdaptiveRound, r).
 
 #ifndef VASTATS_SAMPLING_ADAPTIVE_H_
 #define VASTATS_SAMPLING_ADAPTIVE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "obs/obs.h"
@@ -67,7 +74,7 @@ struct AdaptiveSamplingResult {
 // the grow-round counter.
 Result<AdaptiveSamplingResult> AdaptiveUniSSampling(
     const UniSSampler& sampler, const AdaptiveSamplingOptions& options,
-    Rng& rng, const ObsOptions& obs = {});
+    uint64_t seed, const ObsOptions& obs = {});
 
 // The grow-bootstrap-check loop with every source visit routed through the
 // fault-tolerant access seam. Draws whose coverage falls below
@@ -75,10 +82,11 @@ Result<AdaptiveSamplingResult> AdaptiveUniSSampling(
 // failing the round, so the loop keeps growing on whatever the surviving
 // sources can supply; `options.max_size` budgets *requested* draws, since
 // dropped draws still touched sources. Fails only when the budget cannot
-// even produce the >= 4 usable draws bootstrapping needs.
+// even produce the >= 4 usable draws bootstrapping needs. Draws run through
+// UniSSampler::SampleDegraded, so on a fresh session draw i is keyed by i.
 Result<AdaptiveSamplingResult> AdaptiveUniSSamplingDegraded(
     const UniSSampler& sampler, const AdaptiveSamplingOptions& options,
-    AccessSession& session, double min_draw_coverage, Rng& rng,
+    AccessSession& session, double min_draw_coverage, uint64_t seed,
     const ObsOptions& obs = {});
 
 }  // namespace vastats

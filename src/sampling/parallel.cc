@@ -1,17 +1,10 @@
 #include "sampling/parallel.h"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 #include <thread>
 
 namespace vastats {
 namespace {
-
-// Stream-splitting constant (same odd 64-bit golden-ratio multiplier the
-// Rng seeder uses); chunk streams are decorrelated by the splitmix64
-// expansion inside Rng's constructor.
-constexpr uint64_t kStreamStride = 0x9e3779b97f4a7c15ULL;
 
 // Doubling buckets over per-chunk draw counts; all buckets below
 // chunk_draws collect only the tail chunk and failed chunks.
@@ -29,6 +22,12 @@ void FlushChunk(const ObsOptions& obs, const UniSDrawCounters& counters) {
 
 }  // namespace
 
+int ResolveSamplingThreads(int sampling_threads,
+                           unsigned hardware_concurrency) {
+  if (sampling_threads > 0) return sampling_threads;
+  return static_cast<int>(std::max(1u, hardware_concurrency));
+}
+
 Result<std::vector<double>> ParallelChunkedSample(
     int n, const ParallelSampleOptions& options,
     const ChunkSampleFn& chunk_fn) {
@@ -44,16 +43,12 @@ Result<std::vector<double>> ParallelChunkedSample(
   const int chunk = options.chunk_draws;
   const int num_chunks = (n + chunk - 1) / chunk;
   const bool pooled = options.pool != nullptr;
-  int workers;  // parallelism actually applied
-  if (pooled) {
-    workers = options.pool->num_threads() + 1;
-  } else {
-    workers = options.num_threads == 0
-                  ? static_cast<int>(
-                        std::max(1u, std::thread::hardware_concurrency()))
-                  : options.num_threads;
-  }
-  workers = std::min(workers, num_chunks);
+  // Parallelism actually applied.
+  const int workers = std::min(
+      pooled ? options.pool->num_threads() + 1
+             : ResolveSamplingThreads(options.num_threads,
+                                      std::thread::hardware_concurrency()),
+      num_chunks);
 
   const ObsOptions& obs = options.obs;
   ScopedSpan span(obs, "parallel_sample");
@@ -64,16 +59,11 @@ Result<std::vector<double>> ParallelChunkedSample(
 
   std::vector<double> values(static_cast<size_t>(n));
   auto task = [&](int chunk_index) -> Status {
-    // Chunk-indexed stream: the seed depends on the chunk index only, so
-    // scheduling and execution width cannot change the output.
-    Rng rng(options.seed +
-            kStreamStride * (static_cast<uint64_t>(chunk_index) + 1));
     const int begin = chunk_index * chunk;
     const int count = std::min(chunk, n - begin);
-    return chunk_fn(chunk_index, rng,
-                    std::span<double>(values).subspan(
-                        static_cast<size_t>(begin),
-                        static_cast<size_t>(count)));
+    return chunk_fn(begin, std::span<double>(values).subspan(
+                               static_cast<size_t>(begin),
+                               static_cast<size_t>(count)));
   };
 
   PoolMetricsObserver pool_observer(obs);
@@ -101,14 +91,16 @@ Result<std::vector<double>> ParallelChunkedSample(
 }
 
 Result<std::vector<double>> ParallelUniSSample(
-    const UniSSampler& sampler, int n,
-    const ParallelSampleOptions& options) {
+    const UniSSampler& sampler, int n, const ParallelSampleOptions& options,
+    int first_draw) {
   const ObsOptions& obs = options.obs;
-  auto chunk_fn = [&](int /*chunk_index*/, Rng& rng,
-                      std::span<double> out) -> Status {
+  auto chunk_fn = [&](int first_slot, std::span<double> out) -> Status {
     UniSDrawCounters counters(obs, /*visited_histogram=*/true);
     Status status;
+    int64_t draw = int64_t{first_draw} + first_slot;
     for (double& slot : out) {
+      Rng rng(StreamKey(options.seed, StreamTag::kUniSDraw,
+                        static_cast<uint64_t>(draw++)));
       const auto sample = sampler.SampleOne(rng);
       if (!sample.ok()) {
         status = sample.status();
@@ -134,38 +126,36 @@ Result<FaultAwareSampleResult> ParallelUniSSampleWithFaults(
         "SourceAccessor covers fewer sources than the sampler visits");
   }
   const ObsOptions& obs = options.obs;
-  // What a chunk leaves besides its slot values: per slot the coverage of
+  // What the chunks leave besides the slot values: per slot the coverage of
   // the kept draw (0 marks a dropped slot — a kept draw covered something)
-  // and the session's access stats. Merged in chunk order after the join,
-  // so "which slot was kept" and the merged stats are schedule-independent.
-  struct ChunkOutcome {
-    std::vector<double> coverages;
-    AccessStats access;
-  };
-  std::mutex outcomes_mutex;
-  std::map<int, ChunkOutcome> outcomes;
+  // and per chunk its session's access stats, merged in chunk order after
+  // the join, so "which slot was kept" and the merged stats are
+  // schedule-independent. (An invalid n or chunk_draws is the driver's to
+  // reject.)
+  std::vector<double> coverages(static_cast<size_t>(std::max(n, 0)), 0.0);
+  const size_t chunk = static_cast<size_t>(std::max(options.chunk_draws, 1));
+  std::vector<AccessStats> chunk_access((coverages.size() + chunk - 1) / chunk);
 
-  auto chunk_fn = [&](int chunk_index, Rng& rng,
-                      std::span<double> out) -> Status {
-    // One transport channel per chunk stream, living exactly as long as
-    // the session that owns it. Outcomes stay keyed by (source, global
-    // slot epoch, attempt) endpoint-side, so transported chunks keep the
+  auto chunk_fn = [&](int first_slot, std::span<double> out) -> Status {
+    // One transport channel per chunk, living exactly as long as the
+    // session that owns it. Outcomes stay keyed by (source, global slot
+    // epoch, attempt) endpoint-side, so transported chunks keep the
     // width-invariance contract.
     std::unique_ptr<VisitTransport> channel;
     if (options.transport_factory) channel = options.transport_factory();
     AccessSession session =
         accessor.StartSession(obs.metrics, obs.recorder, channel.get());
-    ChunkOutcome outcome;
-    outcome.coverages.assign(out.size(), 0.0);
     UniSDrawCounters counters(obs, /*visited_histogram=*/true);
-    const int begin = chunk_index * options.chunk_draws;
     Status status;
     uint64_t kept = 0;
     for (size_t i = 0; i < out.size(); ++i) {
       if (session.SessionBudgetExhausted()) break;
-      // Fault epochs are GLOBAL slot indices: the fault schedule a draw
-      // sees depends on which draw it is, never on scheduling.
-      session.BeginDraw(begin + static_cast<int>(i));
+      // Draw streams and fault epochs are keyed by the GLOBAL slot index:
+      // what a draw sees depends on which draw it is, never on scheduling.
+      const int slot = first_slot + static_cast<int>(i);
+      session.BeginDraw(slot);
+      Rng rng(StreamKey(options.seed, StreamTag::kUniSDraw,
+                        static_cast<uint64_t>(slot)));
       const auto sample = sampler.SampleOneDegraded(rng, session);
       if (!sample.ok()) {
         status = sample.status();
@@ -174,18 +164,16 @@ Result<FaultAwareSampleResult> ParallelUniSSampleWithFaults(
       counters.Record(*sample);
       if (!sample->value_valid || sample->coverage < min_coverage) continue;
       out[i] = sample->value;
-      outcome.coverages[i] = sample->coverage;
+      coverages[static_cast<size_t>(slot)] = sample->coverage;
       ++kept;
     }
-    outcome.access = session.Finish();
+    chunk_access[static_cast<size_t>(first_slot) / chunk] = session.Finish();
     FlushChunk(obs, counters);
     if (obs.metrics != nullptr) {
       obs.GetCounter("unis_degraded_draws_kept_total").Increment(kept);
       obs.GetCounter("unis_degraded_draws_dropped_total")
           .Increment(counters.draws() - kept);
     }
-    const std::lock_guard<std::mutex> lock(outcomes_mutex);
-    outcomes.emplace(chunk_index, std::move(outcome));
     return status;
   };
   VASTATS_ASSIGN_OR_RETURN(
@@ -195,19 +183,15 @@ Result<FaultAwareSampleResult> ParallelUniSSampleWithFaults(
   FaultAwareSampleResult result;
   result.values.reserve(values.size());
   result.coverages.reserve(values.size());
-  size_t slot = 0;
-  for (const auto& [chunk_index, outcome] : outcomes) {
-    for (const double coverage : outcome.coverages) {
-      if (coverage > 0.0) {
-        result.values.push_back(values[slot]);
-        result.coverages.push_back(coverage);
-      } else {
-        ++result.dropped_draws;
-      }
-      ++slot;
+  for (size_t slot = 0; slot < values.size(); ++slot) {
+    if (coverages[slot] > 0.0) {
+      result.values.push_back(values[slot]);
+      result.coverages.push_back(coverages[slot]);
+    } else {
+      ++result.dropped_draws;
     }
-    result.access.Merge(outcome.access);
   }
+  for (const AccessStats& access : chunk_access) result.access.Merge(access);
   return result;
 }
 

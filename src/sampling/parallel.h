@@ -2,15 +2,19 @@
 // as samples are obtained independently. Future work should examine how the
 // algorithm scales when parallelized."
 //
-// Determinism contract (thread-count-invariant): the n requested draws are
-// partitioned into fixed-size chunks of `chunk_draws` samples, and every
-// chunk owns an independent RNG stream derived from the master seed and the
-// *chunk index* — never from a thread id. Workers only decide which chunk
-// they execute next, not what that chunk produces, so the output is
-// bit-identical for a fixed (seed, n, chunk_draws) across ANY execution
-// width and dispatch. (This deliberately replaces the seed's old contract,
-// where the stream partitioning depended on num_threads and different
-// thread counts produced different samples.)
+// Determinism contract (width-invariant by construction): uniS draw i reads
+// its own keyed stream, Rng(StreamKey(seed, StreamTag::kUniSDraw, i)) (see
+// util/random.h), so what a draw produces depends on its global index and
+// nothing else. The n requested draws are partitioned into chunks of
+// `chunk_draws` slots only to schedule them; workers decide which chunk
+// they execute next, never what a slot holds. The samples are therefore
+// bit-identical for a fixed (seed, n) at every execution width, with or
+// without a pool, and at every chunk_draws, and draws [0, n) of any longer
+// run are exactly an n-draw run. The serial width-1 path is the same driver
+// run inline, so there is one sample stream, not a serial and a parallel
+// one. (Under the fault seam each chunk also owns an AccessSession, whose
+// breaker state and session budget span the chunk's draws; see
+// ParallelUniSSampleWithFaults.)
 //
 // Dispatch: every entry point runs its chunks through one driver, which
 // runs them with ThreadPool::ParallelFor.
@@ -46,10 +50,12 @@ struct ParallelSampleOptions {
   // Width without a pool; 0 means hardware_concurrency (at least 1).
   // Ignored when `pool` is set (the pool's width applies).
   int num_threads = 0;
+  // Key seed of the draw streams: draw i reads
+  // Rng(StreamKey(seed, StreamTag::kUniSDraw, i)).
   uint64_t seed = 0x5eed;
-  // Draws per chunk — the determinism granule. Part of the output contract:
-  // changing it changes which stream produces which slot (but the result
-  // stays independent of thread count and pool size).
+  // Draws per chunk: the scheduling granule, and the span of one chunk's
+  // AccessSession under the fault seam. The fault-free samples do not
+  // depend on it.
   int chunk_draws = 64;
   // Borrowed persistent pool; null runs the chunks on a call-scoped pool of
   // num_threads - 1 workers plus the caller.
@@ -70,23 +76,31 @@ struct ParallelSampleOptions {
   std::function<std::unique_ptr<VisitTransport>()> transport_factory;
 };
 
-// Fills one chunk of the output: `rng` is seeded from the chunk index and
-// `out` is the chunk's slot range. Invoked concurrently for distinct chunks.
-using ChunkSampleFn =
-    std::function<Status(int chunk_index, Rng& rng, std::span<double> out)>;
+// Resolves a requested sampling width against a hardware concurrency
+// reading: k > 0 stays k; 0 becomes max(1, hardware_concurrency). The
+// driver applies it to options.num_threads.
+int ResolveSamplingThreads(int sampling_threads, unsigned hardware_concurrency);
 
-// Generic chunk-indexed sampling driver: partitions n slots into chunks,
-// derives one RNG stream per chunk, and executes `chunk_fn` per chunk on
-// the borrowed or a call-scoped pool. On any chunk failure the error of the
-// lowest failing chunk index is returned and no partial result leaks.
+// Fills one chunk of the output: `out` is the chunk's slot range and
+// `first_slot` the index of out[0] among the n slots. Invoked concurrently
+// for distinct chunks.
+using ChunkSampleFn =
+    std::function<Status(int first_slot, std::span<double> out)>;
+
+// Generic chunked sampling driver: partitions n slots into chunks and
+// executes `chunk_fn` per chunk on the borrowed or a call-scoped pool, or
+// inline at width 1. On any chunk failure the error of the lowest failing
+// chunk is returned and no partial result leaks.
 Result<std::vector<double>> ParallelChunkedSample(
     int n, const ParallelSampleOptions& options, const ChunkSampleFn& chunk_fn);
 
-// Draws `n` viable answers from `sampler` using the chunked driver. The
-// sampler is shared read-only across threads (UniSSampler::SampleOne is
-// const and carries no mutable state).
+// Draws uniS draws [first_draw, first_draw + n) of the keyed stream
+// options.seed using the chunked driver. The sampler is shared read-only
+// across threads (UniSSampler::SampleOne is const and carries no mutable
+// state).
 Result<std::vector<double>> ParallelUniSSample(
-    const UniSSampler& sampler, int n, const ParallelSampleOptions& options);
+    const UniSSampler& sampler, int n, const ParallelSampleOptions& options,
+    int first_draw = 0);
 
 // Result of a fault-injected (or merely fault-tolerant) sampling run.
 // `values[i]` and `coverages[i]` describe the i-th KEPT draw, compacted in
@@ -102,14 +116,15 @@ struct FaultAwareSampleResult {
 };
 
 // Draws `n` answers through the fault-tolerant access seam: a chunk
-// function over the same driver as ParallelUniSSample. Chunk RNG streams
-// are keyed by chunk index, fault epochs are global slot indices, and every
-// chunk owns a private AccessSession (breaker state and virtual clock
-// confined to one stream). Output — kept values, coverages, dropped count,
-// and merged AccessStats — is bit-identical across every width, with or
-// without a pool. Draws with coverage < `min_coverage` are dropped, not
-// errors. With a null fault model it draws exactly ParallelUniSSample's
-// values and reports the same uniS counters.
+// function over the same driver as ParallelUniSSample. Draw i reads the
+// same keyed stream as there and its fault epoch is i, and every chunk owns
+// a private AccessSession (breaker state, virtual clock and session budget
+// confined to the chunk's draws). Output — kept values, coverages, dropped
+// count, and merged AccessStats — is bit-identical across every width, with
+// or without a pool; it depends on chunk_draws only through breaker trips
+// and the session budget. Draws with coverage < `min_coverage` are
+// dropped, not errors. With a null fault model it draws exactly
+// ParallelUniSSample's values and reports the same uniS counters.
 Result<FaultAwareSampleResult> ParallelUniSSampleWithFaults(
     const UniSSampler& sampler, int n, const SourceAccessor& accessor,
     double min_coverage, const ParallelSampleOptions& options);

@@ -225,7 +225,8 @@ Result<UniSSample> UniSSampler::Draw(std::span<const int> order,
 }
 
 Result<std::vector<UniSSample>> UniSSampler::SampleDegraded(
-    int n, Rng& rng, AccessSession& session, const ObsOptions& obs) const {
+    int n, uint64_t seed, AccessSession& session,
+    const ObsOptions& obs) const {
   if (n <= 0) return Status::InvalidArgument("SampleDegraded requires n > 0");
   ScopedSpan span(obs, "unis_sample_degraded");
   UniSDrawCounters counters(obs);
@@ -234,7 +235,8 @@ Result<std::vector<UniSSample>> UniSSampler::SampleDegraded(
   samples.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     if (session.SessionBudgetExhausted()) break;
-    session.BeginNextDraw();
+    Rng rng(StreamKey(seed, StreamTag::kUniSDraw,
+                      static_cast<uint64_t>(session.BeginNextDraw())));
     VASTATS_ASSIGN_OR_RETURN(UniSSample s, SampleOneDegraded(rng, session));
     ++draws;
     counters.Record(s);
@@ -249,19 +251,7 @@ Result<std::vector<UniSSample>> UniSSampler::SampleDegraded(
 
 Result<std::vector<double>> UniSSampler::Sample(int n, Rng& rng,
                                                 const ObsOptions& obs) const {
-  if (n <= 0) return Status::InvalidArgument("Sample requires n > 0");
-  ScopedSpan span(obs, "unis_sample");
-  UniSDrawCounters counters(obs, /*visited_histogram=*/true);
-  std::vector<double> values;
-  values.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    VASTATS_ASSIGN_OR_RETURN(const UniSSample s, SampleOne(rng));
-    values.push_back(s.value);
-    counters.Record(s);
-  }
-  counters.Flush();
-  span.Annotate("draws", static_cast<int64_t>(n));
-  return values;
+  return SampleExcluding(n, {}, rng, obs);
 }
 
 bool UniSSampler::CoverableWithout(std::span<const int> excluded) const {
@@ -285,7 +275,7 @@ bool UniSSampler::CoverableWithout(std::span<const int> excluded) const {
 Result<std::vector<double>> UniSSampler::SampleExcluding(
     int n, std::span<const int> excluded, Rng& rng,
     const ObsOptions& obs) const {
-  if (n <= 0) return Status::InvalidArgument("SampleExcluding requires n > 0");
+  if (n <= 0) return Status::InvalidArgument("Sample requires n > 0");
   if (options_.require_full_coverage && !CoverableWithout(excluded)) {
     return Status::FailedPrecondition(
         "query is not coverable with the given sources excluded");
@@ -297,8 +287,8 @@ Result<std::vector<double>> UniSSampler::SampleExcluding(
     }
     mask[static_cast<size_t>(s)] = 1;
   }
-  ScopedSpan span(obs, "unis_sample_excluding");
-  UniSDrawCounters counters(obs);
+  ScopedSpan span(obs, "unis_sample");
+  UniSDrawCounters counters(obs, /*visited_histogram=*/true);
   std::vector<double> values;
   values.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -334,14 +324,16 @@ Result<std::vector<int>> UniSSampler::SampleAssignment(Rng& rng) const {
 }
 
 Result<double> UniSSampler::EstimateSourcesPerAnswer(
-    int probes, Rng& rng, const ObsOptions& obs) const {
+    int probes, uint64_t seed, const ObsOptions& obs) const {
   if (probes <= 0) {
     return Status::InvalidArgument("EstimateSourcesPerAnswer needs probes > 0");
   }
   ScopedSpan span(obs, "unis_estimate_weight");
   UniSDrawCounters counters(obs);
   double total = 0.0;
-  for (int i = 0; i < probes; ++i) {
+  for (int j = 0; j < probes; ++j) {
+    Rng rng(
+        StreamKey(seed, StreamTag::kWeightProbe, static_cast<uint64_t>(j)));
     VASTATS_ASSIGN_OR_RETURN(const UniSSample s, SampleOne(rng));
     total += static_cast<double>(s.sources_contributing);
     counters.Record(s);

@@ -145,29 +145,33 @@ class UniSSampler {
   Result<UniSSample> SampleOneInOrder(std::span<const int> order) const;
 
   // Draws `n` answers through the access seam, auto-advancing the session
-  // epoch per draw. Draws that covered nothing are dropped; draws cut short
-  // by the session budget are abandoned. Serial counterpart of
-  // ParallelUniSSampleWithFaults.
+  // epoch per draw; the draw at epoch e reads the keyed stream
+  // Rng(StreamKey(seed, StreamTag::kUniSDraw, e)), so a fresh session's
+  // draws are draws 0, 1, ... of the one sample stream. Draws that covered
+  // nothing are dropped; draws cut short by the session budget are
+  // abandoned. One-session counterpart of ParallelUniSSampleWithFaults.
   Result<std::vector<UniSSample>> SampleDegraded(
-      int n, Rng& rng, AccessSession& session,
+      int n, uint64_t seed, AccessSession& session,
       const ObsOptions& obs = {}) const;
 
-  // Draws `n` viable answer values. `obs` (optional) records a
-  // `unis_sample` span plus draw/visit/take-over counters and the
-  // per-draw sources-visited histogram.
+  // Draws `n` viable answer values from `rng`: SampleExcluding with nothing
+  // excluded.
   Result<std::vector<double>> Sample(int n, Rng& rng,
                                      const ObsOptions& obs = {}) const;
 
   // Draws `n` viable answers with the given sources excluded. Fails when the
   // remaining sources cannot cover the query (under full-coverage options).
+  // `obs` (optional) records a `unis_sample` span plus draw/visit/take-over
+  // counters and the per-draw sources-visited histogram.
   Result<std::vector<double>> SampleExcluding(int n,
                                               std::span<const int> excluded,
                                               Rng& rng,
                                               const ObsOptions& obs = {}) const;
 
   // Monte-Carlo estimate of y, the average number of sources contributing
-  // to an answer.
-  Result<double> EstimateSourcesPerAnswer(int probes, Rng& rng,
+  // to an answer; probe j reads
+  // Rng(StreamKey(seed, StreamTag::kWeightProbe, j)).
+  Result<double> EstimateSourcesPerAnswer(int probes, uint64_t seed,
                                           const ObsOptions& obs = {}) const;
 
   // Draws one uniS value *assignment* instead of the aggregated answer:

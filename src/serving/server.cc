@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <thread>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -62,13 +61,11 @@ ExtractionServer::ExtractionServer(const SourceSet* sources,
       plan_cache_(options_.plan_cache != nullptr ? options_.plan_cache
                                                  : &DefaultDctPlanCache()) {
   // The batch path may share one recorded sampling pass across a group only
-  // when an isolated run of each member would use the serial sampler on the
-  // plain (non-degraded) path — that is the stream SampleOneRecorded mirrors.
-  groupable_sampling_ =
-      !options_.base.adaptive.has_value() &&
-      !options_.base.fault_tolerance.has_value() &&
-      ResolveSamplingThreads(options_.base.sampling_threads,
-                             std::thread::hardware_concurrency()) == 1;
+  // when an isolated run of each member would draw the plain (non-degraded,
+  // fixed-size) keyed stream — the stream the recorded pass replays, at any
+  // sampling width.
+  groupable_sampling_ = !options_.base.adaptive.has_value() &&
+                        !options_.base.fault_tolerance.has_value();
   if (options_.obs.recorder != nullptr) {
     answer_cache_name_id_ = options_.obs.recorder->InternName("answer_cache");
     bandwidth_cache_name_id_ =
@@ -80,7 +77,8 @@ Result<ExtractorOptions> ExtractionServer::DerivedOptions(
     const QueryRequest& request) const {
   ExtractorOptions derived = options_.base;  // normalized in Create()
   derived.seed =
-      options_.base.seed ^ ComponentSequenceFingerprint(request.query.components);
+      StreamKey(options_.base.seed, StreamTag::kRequest,
+                ComponentSequenceFingerprint(request.query.components));
   if (request.deadline_virtual_ms > 0.0) {
     if (!derived.fault_tolerance.has_value()) {
       return Status::InvalidArgument(
@@ -329,65 +327,20 @@ void ExtractionServer::ExtractGroup(
   }
 
   if (!pending.empty()) {
-    // One recorded sampling pass for the whole group. Every pending member
-    // shares the component sequence, hence the same derived seed and the
-    // same rng stream an isolated run would consume; per-kind replay of the
-    // recorded takes reproduces each member's own sample values bit for bit
-    // (see UniSTake).
-    const QueryRequest& leader = requests[pending[0].index];
-    Status shared_failure = Status::Ok();
-    std::vector<std::vector<double>> member_samples(pending.size());
-    Rng rng(0);
-    Result<ExtractorOptions> leader_options = DerivedOptions(leader);
-    if (!leader_options.ok()) {
-      shared_failure = leader_options.status();
-    } else {
-      Result<AnswerStatisticsExtractor> leader_extractor =
-          AnswerStatisticsExtractor::Create(sources_, leader.query,
-                                            *leader_options);
-      if (!leader_extractor.ok()) {
-        shared_failure = leader_extractor.status();
-      } else {
-        rng = Rng(leader_options->seed);
-        const int draws = leader_options->initial_sample_size;
-        for (std::vector<double>& samples : member_samples) {
-          samples.reserve(static_cast<size_t>(draws));
-        }
-        std::vector<UniSTake> takes;
-        for (int draw = 0; draw < draws && shared_failure.ok(); ++draw) {
-          Result<UniSSample> sample =
-              leader_extractor->sampler().SampleOneRecorded(rng, takes);
-          if (!sample.ok()) {
-            shared_failure = sample.status();
-            break;
-          }
-          for (size_t p = 0; p < pending.size(); ++p) {
-            const AggregateQuery& query = requests[pending[p].index].query;
-            Result<double> value =
-                UniSSampler::ReplayTakes(takes, query.kind, query.quantile_q);
-            if (!value.ok()) {
-              shared_failure = value.status();
-              break;
-            }
-            member_samples[p].push_back(*value);
-          }
-        }
-        if (shared_failure.ok()) {
-          options_.obs.GetCounter("serving_shared_sampling_draws_saved_total")
-              .Increment(static_cast<uint64_t>(draws) *
-                           static_cast<uint64_t>(pending.size() - 1));
-        }
-      }
+    std::vector<const AggregateQuery*> queries;
+    for (const PendingMember& member : pending) {
+      queries.push_back(&requests[member.index].query);
     }
-
+    Result<std::vector<std::vector<double>>> member_samples =
+        SampleGroupOnce(requests[pending[0].index], queries);
     for (size_t p = 0; p < pending.size(); ++p) {
-      if (!shared_failure.ok()) {
-        results[pending[p].index] = shared_failure;
+      if (!member_samples.ok()) {
+        results[pending[p].index] = member_samples.status();
         continue;
       }
       results[pending[p].index] = ExtractGroupTail(
           requests[pending[p].index], pending[p].fingerprint, closure,
-          std::move(member_samples[p]), rng);
+          std::move((*member_samples)[p]));
     }
   }
 
@@ -399,22 +352,61 @@ void ExtractionServer::ExtractGroup(
   }
 }
 
+Result<std::vector<std::vector<double>>> ExtractionServer::SampleGroupOnce(
+    const QueryRequest& leader,
+    std::span<const AggregateQuery* const> queries) const {
+  // Every member shares the leader's component sequence, hence its derived
+  // seed and the keyed draw streams an isolated run of the member would
+  // read; per-kind replay of each draw's recorded takes reproduces every
+  // member's own sample values bit for bit (see UniSTake). The pass runs on
+  // the isolated run's chunk driver at its width.
+  VASTATS_ASSIGN_OR_RETURN(const ExtractorOptions leader_options,
+                           DerivedOptions(leader));
+  VASTATS_ASSIGN_OR_RETURN(
+      const AnswerStatisticsExtractor leader_extractor,
+      AnswerStatisticsExtractor::Create(sources_, leader.query,
+                                        leader_options));
+  const int draws = leader_options.initial_sample_size;
+  std::vector<std::vector<double>> member_samples(
+      queries.size(), std::vector<double>(static_cast<size_t>(draws)));
+  const ParallelSampleOptions sampling = leader_extractor.SamplingOptions();
+  const UniSSampler& sampler = leader_extractor.sampler();
+  const auto chunk_fn = [&](int first_slot, std::span<double> out) -> Status {
+    std::vector<UniSTake> takes;
+    for (size_t i = 0; i < out.size(); ++i) {
+      const size_t slot = static_cast<size_t>(first_slot) + i;
+      Rng rng(StreamKey(sampling.seed, StreamTag::kUniSDraw, slot));
+      VASTATS_ASSIGN_OR_RETURN(const UniSSample sample,
+                               sampler.SampleOneRecorded(rng, takes));
+      out[i] = sample.value;
+      for (size_t q = 0; q < queries.size(); ++q) {
+        VASTATS_ASSIGN_OR_RETURN(
+            member_samples[q][slot],
+            UniSSampler::ReplayTakes(takes, queries[q]->kind,
+                                     queries[q]->quantile_q));
+      }
+    }
+    return Status::Ok();
+  };
+  VASTATS_RETURN_IF_ERROR(
+      ParallelChunkedSample(draws, sampling, chunk_fn).status());
+  options_.obs.GetCounter("serving_shared_sampling_draws_saved_total")
+      .Increment(static_cast<uint64_t>(draws) *
+                 static_cast<uint64_t>(queries.size() - 1));
+  return member_samples;
+}
+
 Result<AnswerStatistics> ExtractionServer::ExtractGroupTail(
     const QueryRequest& request, uint64_t fingerprint,
-    std::span<const int> closure, std::vector<double> samples,
-    const Rng& post_sampling_rng) {
+    std::span<const int> closure, std::vector<double> samples) {
   VASTATS_ASSIGN_OR_RETURN(ExtractorOptions derived, DerivedOptions(request));
   AttachCacheHooks(derived, fingerprint, closure);
   VASTATS_ASSIGN_OR_RETURN(
       const AnswerStatisticsExtractor extractor,
       AnswerStatisticsExtractor::Create(sources_, request.query,
                                         std::move(derived)));
-  // The rng enters phases 2-7 in exactly the state an isolated Extract()
-  // would have left it after the sampling loop.
-  Rng rng = post_sampling_rng;
-  VASTATS_ASSIGN_OR_RETURN(
-      AnswerStatistics statistics,
-      extractor.ExtractFromSamples(std::move(samples), rng));
+  VASTATS_ASSIGN_OR_RETURN(AnswerStatistics statistics,
+                           extractor.ExtractFromSamples(std::move(samples)));
   caches_.StoreAnswer(fingerprint, closure, statistics);
   return statistics;
 }

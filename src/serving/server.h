@@ -18,10 +18,11 @@
 // Determinism contract: a request's result is a pure function of the
 // request, the server's base options, and the source epochs — bit-identical
 // at any concurrency, any admission interleaving, and any cache hit/miss
-// pattern. Per-query seeds derive from base.seed XOR the component-sequence
-// fingerprint, so a batched group and an isolated run of any member consume
-// the identical rng stream; DerivedOptions() exposes the exact derivation
-// for benches and tests to replay against a standalone extractor. (Phase
+// pattern. Per-query seeds are keyed by (base.seed, component-sequence
+// fingerprint), so a batched group and an isolated run of any member read
+// the identical keyed draw streams at any sampling width; DerivedOptions()
+// exposes the exact derivation for benches and tests to replay against a
+// standalone extractor. (Phase
 // *timings* are wall-clock metadata and excluded from the contract, as
 // everywhere else in the library.)
 //
@@ -130,13 +131,19 @@ class ExtractionServer {
   void ExtractGroup(std::span<const QueryRequest> requests,
                     std::span<const size_t> members,
                     std::vector<Result<AnswerStatistics>>& results);
-  // Phases 2-7 for one group member over its replayed samples, with the rng
-  // copied in post-sampling state so the tail matches an isolated run.
+  // The group's one recorded sampling pass: draws the leader's keyed
+  // sample stream once and replays every draw for each of `queries` (the
+  // pending members, all over the leader's component sequence). Returns
+  // one sample vector per query.
+  Result<std::vector<std::vector<double>>> SampleGroupOnce(
+      const QueryRequest& leader,
+      std::span<const AggregateQuery* const> queries) const;
+  // Phases 2-7 for one group member over its replayed samples; their
+  // keyed streams make the tail match an isolated run.
   Result<AnswerStatistics> ExtractGroupTail(const QueryRequest& request,
                                             uint64_t fingerprint,
                                             std::span<const int> closure,
-                                            std::vector<double> samples,
-                                            const Rng& post_sampling_rng);
+                                            std::vector<double> samples);
   // Wires the plan/bandwidth cache hooks for one extraction identity.
   void AttachCacheHooks(ExtractorOptions& derived, uint64_t fingerprint,
                         std::span<const int> closure);
@@ -149,7 +156,7 @@ class ExtractionServer {
   QueryScheduler scheduler_;
   DctPlanCache* plan_cache_;
   // True when the batch path may share one recorded sampling pass across a
-  // group: the serial sampler must be the one an isolated run would use.
+  // group: an isolated run must draw the plain fixed-size keyed stream.
   bool groupable_sampling_ = false;
   uint32_t answer_cache_name_id_ = 0;
   uint32_t bandwidth_cache_name_id_ = 0;

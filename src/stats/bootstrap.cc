@@ -43,7 +43,7 @@ Status BootstrapOptions::Validate() const {
 }
 
 Result<std::vector<std::vector<int>>> BootstrapIndexSets(
-    int data_size, const BootstrapOptions& options, Rng& rng) {
+    int data_size, const BootstrapOptions& options, uint64_t seed) {
   VASTATS_RETURN_IF_ERROR(options.Validate());
   if (data_size <= 0) {
     return Status::InvalidArgument("BootstrapIndexSets requires data_size > 0");
@@ -51,20 +51,23 @@ Result<std::vector<std::vector<int>>> BootstrapIndexSets(
   const int set_size = options.set_size > 0 ? options.set_size : data_size;
   std::vector<std::vector<int>> index_sets;
   index_sets.reserve(static_cast<size_t>(options.num_sets));
-  for (int s = 0; s < options.num_sets; ++s) {
+  for (int b = 0; b < options.num_sets; ++b) {
+    Rng rng(
+        StreamKey(seed, StreamTag::kBootstrapSet, static_cast<uint64_t>(b)));
     index_sets.push_back(rng.ResampleIndices(data_size, set_size));
   }
   return index_sets;
 }
 
 Result<std::vector<std::vector<double>>> BootstrapSets(
-    std::span<const double> data, const BootstrapOptions& options, Rng& rng) {
+    std::span<const double> data, const BootstrapOptions& options,
+    uint64_t seed) {
   if (data.empty()) {
     return Status::InvalidArgument("BootstrapSets requires non-empty data");
   }
   VASTATS_ASSIGN_OR_RETURN(
       const std::vector<std::vector<int>> index_sets,
-      BootstrapIndexSets(static_cast<int>(data.size()), options, rng));
+      BootstrapIndexSets(static_cast<int>(data.size()), options, seed));
   std::vector<std::vector<double>> sets;
   sets.reserve(index_sets.size());
   for (const std::vector<int>& indices : index_sets) {
@@ -79,7 +82,7 @@ Result<std::vector<std::vector<double>>> BootstrapSets(
 
 Result<std::vector<double>> BootstrapReplicates(
     std::span<const double> data, const StatisticFn& statistic,
-    const BootstrapOptions& options, Rng& rng, ThreadPool* pool,
+    const BootstrapOptions& options, uint64_t seed, ThreadPool* pool,
     MetricsRegistry* metrics, FlightRecorder* recorder) {
   if (data.empty()) {
     return Status::InvalidArgument(
@@ -87,7 +90,7 @@ Result<std::vector<double>> BootstrapReplicates(
   }
   VASTATS_ASSIGN_OR_RETURN(
       const std::vector<std::vector<int>> index_sets,
-      BootstrapIndexSets(static_cast<int>(data.size()), options, rng));
+      BootstrapIndexSets(static_cast<int>(data.size()), options, seed));
   return ReplicatesFromIndexSets(data, index_sets, statistic, pool, metrics,
                                  recorder);
 }

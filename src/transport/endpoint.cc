@@ -278,7 +278,8 @@ void EndpointGroup::Serve(const WireRequest& request, Channel* channel) {
     if (options_.straggler_fraction > 0.0) {
       // Keyed by request id, not visit key: a hedged duplicate re-rolls its
       // straggler fate, which is precisely why hedging helps.
-      Rng rng(options_.straggler_seed ^ request.id);
+      Rng rng(StreamKey(options_.straggler_seed, StreamTag::kStraggler,
+                        request.id));
       if (rng.Uniform01() < options_.straggler_fraction) {
         wall_ms *= options_.straggler_multiplier;
       }

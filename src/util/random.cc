@@ -7,7 +7,7 @@ namespace {
 
 inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
-// splitmix64, used only to expand the user seed into engine state.
+// splitmix64: expands a seed into engine state and mixes stream keys.
 inline uint64_t SplitMix64(uint64_t& x) {
   x += 0x9e3779b97f4a7c15ULL;
   uint64_t z = x;
@@ -17,6 +17,21 @@ inline uint64_t SplitMix64(uint64_t& x) {
 }
 
 }  // namespace
+
+uint64_t MixFaultKey(uint64_t seed, uint64_t a, uint64_t b, uint64_t c) {
+  uint64_t key = seed ^ a;
+  for (const uint64_t word : {b, c}) key = SplitMix64(key) ^ word;
+  return SplitMix64(key);
+}
+
+uint64_t StreamKey(uint64_t seed, StreamTag tag, uint64_t a, uint64_t b) {
+  return MixFaultKey(seed ^ static_cast<uint64_t>(tag), 0, a, b);
+}
+
+uint64_t FaultKey(uint64_t seed, StreamTag tag, uint64_t source,
+                  uint64_t epoch, uint64_t third) {
+  return MixFaultKey(seed ^ static_cast<uint64_t>(tag), source, epoch, third);
+}
 
 Rng::Rng(uint64_t seed) {
   uint64_t s = seed;

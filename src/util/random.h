@@ -9,6 +9,16 @@
 //
 // Rng is cheap to construct and copy; distinct seeds give independent-looking
 // streams. Not thread-safe; use one Rng per thread.
+//
+// Keyed streams: every random decision of an extraction (and of the fault
+// model) reads its own short stream, Rng(StreamKey(seed, tag, index)), keyed
+// by the run's seed, a phase tag and the decision's index — uniS draw i,
+// bootstrap set b, weight probe j, fault attempt (source, epoch, attempt).
+// A decision therefore depends on which decision it is, never on which
+// thread makes it or in what order, so results are identical at every
+// execution width by construction (the counter-based design of Salmon et
+// al., SC 2011). Every key comes from the one splitmix chain MixFaultKey;
+// outside this file no stream is seeded by ad hoc seed arithmetic.
 
 #ifndef VASTATS_UTIL_RANDOM_H_
 #define VASTATS_UTIL_RANDOM_H_
@@ -18,6 +28,33 @@
 #include <vector>
 
 namespace vastats {
+
+// Domain-separation tags of the keyed streams, one per kind of decision, so
+// equal identifiers in different phases read independent-looking streams.
+// The values are part of the output contract: changing one moves every
+// stream of its phase.
+enum class StreamTag : uint64_t {
+  // Fault model decisions, keyed (source, epoch, attempt-or-position).
+  kFaultFail = 0x7472616e7349656eULL,
+  kFaultCorrupt = 0x636f727275707431ULL,
+  kFaultLatency = 0x6c6174656e637931ULL,
+  kFaultJitter = 0x6a69747465723031ULL,
+  // One extraction: uniS draw i, bootstrap set b, stability weight probe j,
+  // adaptive round r's replicate sets, and the HAVING sample of a group.
+  kUniSDraw = 0x756e697364726177ULL,
+  kBootstrapSet = 0x626f6f7473657431ULL,
+  kWeightProbe = 0x7770726f62653031ULL,
+  kAdaptiveRound = 0x6164726f756e6431ULL,
+  kHavingSample = 0x686176696e673031ULL,
+  // Per-extraction seeds derived from a parent seed: a served request (by
+  // component-sequence fingerprint), a grouped query's group, a monitored
+  // query's (id, refresh).
+  kRequest = 0x7265717565737431ULL,
+  kGroup = 0x67726f7570303031ULL,
+  kMonitorQuery = 0x6d6f6e69746f7231ULL,
+  // Transport endpoint straggler fate, keyed by request id.
+  kStraggler = 0x7374726167676c31ULL,
+};
 
 class Rng {
  public:
@@ -84,6 +121,26 @@ class Rng {
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;
 };
+
+// The one key derivation: a splitmix64 chain that mixes `seed ^ a`, then
+// `b`, then `c` into a decorrelated 64-bit stream key (one splitmix64
+// finalization per word).
+uint64_t MixFaultKey(uint64_t seed, uint64_t a, uint64_t b, uint64_t c);
+
+// The key of one random decision: MixFaultKey(seed ^ tag, 0, a, b). The
+// seed and the tag get a full splitmix round before any identifier enters,
+// so seeds that differ in a few low bits (consecutive seeds) never share a
+// decision stream, as they would if an identifier were XORed into the seed.
+// Its stream is Rng(StreamKey(seed, tag, a, b)).
+uint64_t StreamKey(uint64_t seed, StreamTag tag, uint64_t a, uint64_t b = 0);
+
+// The fault model's key of (source, epoch, attempt-or-position):
+// MixFaultKey(seed ^ tag, source, epoch, third). The source enters the
+// first round with the seed, so fault models whose seeds differ by
+// source_i ^ source_j swap those sources' schedules; kept in this form so
+// every fault schedule stays fixed.
+uint64_t FaultKey(uint64_t seed, StreamTag tag, uint64_t source,
+                  uint64_t epoch, uint64_t third);
 
 }  // namespace vastats
 

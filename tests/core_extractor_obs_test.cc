@@ -50,7 +50,7 @@ TEST(ExtractorObsTest, RecordsTheFullSpanTaxonomy) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
 
   for (const char* name :
-       {"extract", "sampling", "unis_sample", "extract_from_samples",
+       {"extract", "sampling", "parallel_sample", "extract_from_samples",
         "bootstrap", "point_statistics", "kde", "bagged_kde", "cio",
         "cio_greedy", "stability", "unis_estimate_weight"}) {
     EXPECT_GE(trace.CountOf(name), 1) << "missing span: " << name;

@@ -24,10 +24,9 @@ namespace {
 
 std::vector<std::vector<double>> MakeSets(const std::vector<double>& data,
                                           int num_sets, uint64_t seed) {
-  Rng rng(seed);
   BootstrapOptions options;
   options.num_sets = num_sets;
-  return BootstrapSets(data, options, rng).value();
+  return BootstrapSets(data, options, seed).value();
 }
 
 TEST(BaggedKdeTest, UnitMassAndCommonGrid) {

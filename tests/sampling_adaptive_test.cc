@@ -51,8 +51,7 @@ TEST_F(AdaptiveSamplingTest, StopsImmediatelyWithLooseTarget) {
   options.increment = 50;
   options.max_size = 500;
   options.target_ci_length = 1e9;  // trivially satisfied
-  Rng rng(1);
-  const auto result = AdaptiveUniSSampling(*sampler_, options, rng);
+  const auto result = AdaptiveUniSSampling(*sampler_, options, /*seed=*/1);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->satisfied);
   EXPECT_EQ(result->samples.size(), 50u);
@@ -70,8 +69,7 @@ TEST_F(AdaptiveSamplingTest, GrowsUntilTargetMet) {
   ASSERT_TRUE(initial.ok());
   const double spread = ComputeMoments(*initial).SampleStdDev();
   options.target_ci_length = spread / 4.0;
-  Rng rng(3);
-  const auto result = AdaptiveUniSSampling(*sampler_, options, rng);
+  const auto result = AdaptiveUniSSampling(*sampler_, options, /*seed=*/3);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->satisfied);
   EXPECT_GT(result->samples.size(), 30u);
@@ -86,8 +84,7 @@ TEST_F(AdaptiveSamplingTest, RespectsBudget) {
   options.increment = 20;
   options.max_size = 100;
   options.target_ci_length = 1e-9;  // unreachable
-  Rng rng(4);
-  const auto result = AdaptiveUniSSampling(*sampler_, options, rng);
+  const auto result = AdaptiveUniSSampling(*sampler_, options, /*seed=*/4);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->satisfied);
   EXPECT_EQ(result->samples.size(), 100u);
@@ -99,8 +96,7 @@ TEST_F(AdaptiveSamplingTest, RelativeTargetUsesMeanScale) {
   options.increment = 100;
   options.max_size = 3000;
   options.target_relative_length = 0.01;  // 1% of the mean
-  Rng rng(5);
-  const auto result = AdaptiveUniSSampling(*sampler_, options, rng);
+  const auto result = AdaptiveUniSSampling(*sampler_, options, /*seed=*/5);
   ASSERT_TRUE(result.ok());
   if (result->satisfied) {
     const double mean = ComputeMoments(result->samples).mean();
@@ -130,8 +126,7 @@ TEST_F(AdaptiveSamplingTest, RelativeTargetSurvivesZeroCenteredData) {
   options.increment = 100;
   options.max_size = 4000;
   options.target_relative_length = 0.5;  // of max(|mean|, std-dev)
-  Rng rng(7);
-  const auto result = AdaptiveUniSSampling(*sampler, options, rng);
+  const auto result = AdaptiveUniSSampling(*sampler, options, /*seed=*/7);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->relative_target_floored);
   EXPECT_TRUE(result->satisfied);
@@ -144,8 +139,7 @@ TEST_F(AdaptiveSamplingTest, TraceSizesIncrease) {
   options.increment = 40;
   options.max_size = 180;
   options.target_ci_length = 1e-9;
-  Rng rng(6);
-  const auto result = AdaptiveUniSSampling(*sampler_, options, rng);
+  const auto result = AdaptiveUniSSampling(*sampler_, options, /*seed=*/6);
   ASSERT_TRUE(result.ok());
   int prev = 0;
   for (const AdaptiveStep& step : result->trace) {

@@ -129,8 +129,8 @@ TEST(DegradedSamplingTest, ZeroCoverageDrawIsInvalidAndBatchDropsIt) {
   EXPECT_GT(sample->sources_failed + sample->sources_skipped_open, 0);
 
   AccessSession batch_session = accessor->StartSession();
-  Rng batch_rng(3);
-  const auto batch = sampler->SampleDegraded(16, batch_rng, batch_session);
+  const auto batch =
+      sampler->SampleDegraded(16, /*seed=*/3, batch_session);
   ASSERT_TRUE(batch.ok());
   EXPECT_TRUE(batch->empty());
   const AccessStats stats = batch_session.Finish();
@@ -296,9 +296,8 @@ TEST(AdaptiveDegradedTest, ReportsCoveragesAndRequestedDraws) {
   options.increment = 20;
   options.max_size = 120;
   options.target_ci_length = 1e6;  // satisfied after the first check
-  Rng rng(88);
-  const auto result =
-      AdaptiveUniSSamplingDegraded(*sampler, options, session, 0.5, rng);
+  const auto result = AdaptiveUniSSamplingDegraded(
+      *sampler, options, session, 0.5, /*seed=*/88);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->satisfied);
   EXPECT_EQ(result->coverages.size(), result->samples.size());
@@ -328,9 +327,8 @@ TEST(AdaptiveDegradedTest, FailsWhenNoUsableDrawsExist) {
   options.increment = 8;
   options.max_size = 32;
   options.target_ci_length = 1.0;
-  Rng rng(88);
-  const auto result =
-      AdaptiveUniSSamplingDegraded(*sampler, options, session, 0.5, rng);
+  const auto result = AdaptiveUniSSamplingDegraded(
+      *sampler, options, session, 0.5, /*seed=*/88);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }

@@ -165,8 +165,7 @@ TEST(UniSSamplerTest, PartialCoverageModeFinalizesSubset) {
 TEST(UniSSamplerTest, EstimateSourcesPerAnswer) {
   const SourceSet sources = testing::MakeFigure1Sources();
   const UniSSampler sampler = MakeFigure1Sampler(sources);
-  Rng rng(10);
-  const auto y = sampler.EstimateSourcesPerAnswer(500, rng);
+  const auto y = sampler.EstimateSourcesPerAnswer(500, /*seed=*/10);
   ASSERT_TRUE(y.ok());
   // Components 4 and 5 are single-source (D3, D2), so every answer needs at
   // least those two sources; never more than 4.
@@ -192,7 +191,7 @@ TEST(UniSSamplerTest, RejectsNonPositiveCounts) {
   const UniSSampler sampler = MakeFigure1Sampler(sources);
   Rng rng(12);
   EXPECT_FALSE(sampler.Sample(0, rng).ok());
-  EXPECT_FALSE(sampler.EstimateSourcesPerAnswer(0, rng).ok());
+  EXPECT_FALSE(sampler.EstimateSourcesPerAnswer(0, /*seed=*/12).ok());
 }
 
 // A draw's takes depend on the rng and the component set only, never on

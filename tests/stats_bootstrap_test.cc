@@ -25,11 +25,10 @@ TEST(BootstrapOptionsTest, Validation) {
 
 TEST(BootstrapSetsTest, ShapeAndMembership) {
   const std::vector<double> data = {1, 2, 3, 4, 5};
-  Rng rng(1);
   BootstrapOptions options;
   options.num_sets = 7;
   options.set_size = 12;
-  const auto sets = BootstrapSets(data, options, rng);
+  const auto sets = BootstrapSets(data, options, 1);
   ASSERT_TRUE(sets.ok());
   ASSERT_EQ(sets->size(), 7u);
   for (const auto& set : *sets) {
@@ -42,35 +41,31 @@ TEST(BootstrapSetsTest, ShapeAndMembership) {
 
 TEST(BootstrapSetsTest, DefaultSetSizeIsDataSize) {
   const std::vector<double> data = {1, 2, 3};
-  Rng rng(2);
-  const auto sets = BootstrapSets(data, BootstrapOptions{}, rng);
+  const auto sets = BootstrapSets(data, BootstrapOptions{}, 2);
   ASSERT_TRUE(sets.ok());
   EXPECT_EQ((*sets)[0].size(), 3u);
 }
 
 TEST(BootstrapSetsTest, DeterministicUnderSeed) {
   const std::vector<double> data = testing::NormalSample(50, 3);
-  Rng rng_a(42), rng_b(42);
-  const auto a = BootstrapSets(data, BootstrapOptions{}, rng_a);
-  const auto b = BootstrapSets(data, BootstrapOptions{}, rng_b);
+  const auto a = BootstrapSets(data, BootstrapOptions{}, 42);
+  const auto b = BootstrapSets(data, BootstrapOptions{}, 42);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.value(), b.value());
 }
 
 TEST(BootstrapSetsTest, EmptyDataRejected) {
-  Rng rng(1);
-  EXPECT_FALSE(BootstrapSets({}, BootstrapOptions{}, rng).ok());
+  EXPECT_FALSE(BootstrapSets({}, BootstrapOptions{}, 1).ok());
 }
 
 TEST(BootstrapReplicatesTest, MeanReplicatesCenterOnSampleMean) {
   const std::vector<double> data = testing::NormalSample(400, 5, 10.0, 2.0);
   const double sample_mean = ComputeMoments(data).mean();
-  Rng rng(7);
   BootstrapOptions options;
   options.num_sets = 200;
   const auto replicates = BootstrapReplicates(
-      data, MomentStatisticFn(MomentStatistic::kMean), options, rng);
+      data, MomentStatisticFn(MomentStatistic::kMean), options, 7);
   ASSERT_TRUE(replicates.ok());
   ASSERT_EQ(replicates->size(), 200u);
   const Moments moments = ComputeMoments(*replicates);
@@ -85,10 +80,9 @@ TEST(BootstrapReplicatesTest, MatchesReplicatesFromSets) {
   const std::vector<double> data = testing::NormalSample(100, 9);
   BootstrapOptions options;
   options.num_sets = 25;
-  Rng rng_a(11), rng_b(11);
   const auto direct = BootstrapReplicates(
-      data, MomentStatisticFn(MomentStatistic::kVariance), options, rng_a);
-  const auto sets = BootstrapSets(data, options, rng_b);
+      data, MomentStatisticFn(MomentStatistic::kVariance), options, 11);
+  const auto sets = BootstrapSets(data, options, 11);
   ASSERT_TRUE(sets.ok());
   const auto via_sets = ReplicatesFromSets(
       *sets, MomentStatisticFn(MomentStatistic::kVariance));
@@ -106,10 +100,9 @@ TEST(BootstrapIndexSetsTest, MatchesBootstrapSetsUnderSameSeed) {
   const std::vector<double> data = testing::NormalSample(50, 13);
   BootstrapOptions options;
   options.num_sets = 20;
-  Rng rng_a(99), rng_b(99);
   const auto index_sets =
-      BootstrapIndexSets(static_cast<int>(data.size()), options, rng_a);
-  const auto sets = BootstrapSets(data, options, rng_b);
+      BootstrapIndexSets(static_cast<int>(data.size()), options, 99);
+  const auto sets = BootstrapSets(data, options, 99);
   ASSERT_TRUE(index_sets.ok());
   ASSERT_TRUE(sets.ok());
   ASSERT_EQ(index_sets->size(), sets->size());
@@ -123,21 +116,19 @@ TEST(BootstrapIndexSetsTest, MatchesBootstrapSetsUnderSameSeed) {
 }
 
 TEST(BootstrapIndexSetsTest, Validation) {
-  Rng rng(1);
-  EXPECT_FALSE(BootstrapIndexSets(0, BootstrapOptions{}, rng).ok());
+  EXPECT_FALSE(BootstrapIndexSets(0, BootstrapOptions{}, 1).ok());
   BootstrapOptions bad;
   bad.num_sets = 0;
-  EXPECT_FALSE(BootstrapIndexSets(10, bad, rng).ok());
+  EXPECT_FALSE(BootstrapIndexSets(10, bad, 1).ok());
 }
 
 TEST(ReplicatesFromIndexSetsTest, MatchesReplicatesFromSets) {
   const std::vector<double> data = testing::NormalSample(80, 17);
   BootstrapOptions options;
   options.num_sets = 30;
-  Rng rng_a(5), rng_b(5);
   const auto index_sets =
-      BootstrapIndexSets(static_cast<int>(data.size()), options, rng_a);
-  const auto sets = BootstrapSets(data, options, rng_b);
+      BootstrapIndexSets(static_cast<int>(data.size()), options, 5);
+  const auto sets = BootstrapSets(data, options, 5);
   ASSERT_TRUE(index_sets.ok());
   ASSERT_TRUE(sets.ok());
   const auto via_indices = ReplicatesFromIndexSets(
@@ -167,19 +158,16 @@ TEST(BootstrapPoolTest, PooledReplicatesAreBitIdenticalToSerial) {
   const std::vector<double> data = testing::NormalSample(120, 23);
   BootstrapOptions options;
   options.num_sets = 40;
-  Rng rng_serial(31), rng_pooled(31);
   const auto serial = BootstrapReplicates(
-      data, MomentStatisticFn(MomentStatistic::kVariance), options,
-      rng_serial);
+      data, MomentStatisticFn(MomentStatistic::kVariance), options, 31);
   ThreadPool pool(ThreadPoolOptions{.num_threads = 4});
   const auto pooled = BootstrapReplicates(
-      data, MomentStatisticFn(MomentStatistic::kVariance), options,
-      rng_pooled, &pool);
+      data, MomentStatisticFn(MomentStatistic::kVariance), options, 31, &pool);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(pooled.ok());
   EXPECT_EQ(serial.value(), pooled.value());
 
-  const auto sets = BootstrapSets(data, options, rng_serial);
+  const auto sets = BootstrapSets(data, options, 31);
   ASSERT_TRUE(sets.ok());
   const auto from_sets_serial =
       ReplicatesFromSets(*sets, MomentStatisticFn(MomentStatistic::kMean));
@@ -217,12 +205,12 @@ TEST(BagTest, BaggingReducesEstimatorVariance) {
 
   Moments single, bagged;
   for (int trial = 0; trial < 60; ++trial) {
-    Rng rng(1000 + static_cast<uint64_t>(trial));
+    const uint64_t seed = 1000 + static_cast<uint64_t>(trial);
     const auto single_rep = BootstrapReplicates(
-        data, MomentStatisticFn(MomentStatistic::kMean), one_set, rng);
+        data, MomentStatisticFn(MomentStatistic::kMean), one_set, seed);
     single.Add((*single_rep)[0]);
     const auto many_rep = BootstrapReplicates(
-        data, MomentStatisticFn(MomentStatistic::kMean), many_sets, rng);
+        data, MomentStatisticFn(MomentStatistic::kMean), many_sets, seed);
     bagged.Add(Bag(*many_rep, BagAggregator::kMean).value());
   }
   EXPECT_LT(bagged.SampleVariance(), single.SampleVariance());

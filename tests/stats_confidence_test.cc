@@ -26,13 +26,12 @@ CiFixture MakeMeanFixture(int n, uint64_t seed, double mean = 10.0,
   CiFixture fixture;
   fixture.data = testing::NormalSample(n, seed, mean, sigma);
   fixture.point_estimate = ComputeMoments(fixture.data).mean();
-  Rng rng(seed + 1);
   BootstrapOptions options;
   options.num_sets = num_sets;
   fixture.replicates =
       BootstrapReplicates(fixture.data,
                           MomentStatisticFn(MomentStatistic::kMean), options,
-                          rng)
+                          seed + 1)
           .value();
   fixture.jackknife =
       JackknifeMoment(fixture.data, MomentStatistic::kMean).value();
@@ -134,9 +133,8 @@ TEST(BcaTest, ShiftsIntervalOnSkewedStatistic) {
   const double var_hat = ComputeMoments(data).SampleVariance();
   BootstrapOptions options;
   options.num_sets = 1500;
-  Rng boot_rng(601);
   const auto replicates = BootstrapReplicates(
-      data, MomentStatisticFn(MomentStatistic::kVariance), options, boot_rng);
+      data, MomentStatisticFn(MomentStatistic::kVariance), options, 601);
   const auto jackknife = JackknifeMoment(data, MomentStatistic::kVariance);
   const auto bca = BcaCi(*replicates, var_hat, 0.9, *jackknife);
   const auto pct = PercentileCi(*replicates, 0.9);
@@ -185,7 +183,7 @@ TEST(BcaTest, CoverageNearNominalOnSkewedStatistic) {
     const auto replicates =
         BootstrapReplicates(data,
                             MomentStatisticFn(MomentStatistic::kVariance),
-                            options, rng);
+                            options, rng.NextUint64());
     const auto jackknife = JackknifeMoment(data, MomentStatistic::kVariance);
     const auto ci = BcaCi(*replicates, var_hat, 0.90, *jackknife);
     ASSERT_TRUE(ci.ok());
