@@ -497,6 +497,42 @@ TEST_F(ServingServerTest, BatchSharesOneSamplingPassBitIdentically) {
   }
 }
 
+TEST_F(ServingServerTest, BatchSharesOnePassAtWidthFourWithAPool) {
+  // Every width draws the same keyed stream, so a parallel base still
+  // batches: one recorded pass on the pool feeds every member.
+  ThreadPool pool(ThreadPoolOptions{.num_threads = 4});
+  MetricsRegistry metrics;
+  ServingOptions options;
+  options.base = FastOptions();
+  options.base.sampling_threads = 4;
+  options.base.pool = &pool;
+  options.obs.metrics = &metrics;
+  std::unique_ptr<ExtractionServer> server = MakeServer(std::move(options));
+
+  std::vector<QueryRequest> batch;
+  for (const AggregateKind kind : {AggregateKind::kSum, AggregateKind::kAverage,
+                                   AggregateKind::kMax}) {
+    QueryRequest request;
+    request.query = MakeQuery("wide", kind, {1, 2, 3, 4});
+    batch.push_back(std::move(request));
+  }
+  std::vector<AnswerStatistics> expected;
+  for (const QueryRequest& request : batch) {
+    expected.push_back(IsolatedRun(*server, sources_, request));
+  }
+
+  const std::vector<Result<AnswerStatistics>> got =
+      server->ExtractBatch(batch);
+  ASSERT_EQ(got.size(), batch.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i].ok()) << got[i].status().message();
+    ExpectBitIdentical(*got[i], expected[i]);
+  }
+  EXPECT_GT(CounterValue(metrics.Snapshot(),
+                         "serving_shared_sampling_draws_saved_total"),
+            0u);
+}
+
 TEST_F(ServingServerTest, BatchDeduplicatesIdenticalRequests) {
   std::unique_ptr<ExtractionServer> server = MakeServer();
   QueryRequest request;

@@ -85,6 +85,7 @@ void CheckFile(const SourceFile& f, FileKind kind, const RepoIndex& index,
     CheckA3DiscardedStatus(f, index, out);
     CheckA4ExhaustiveSwitch(f, index, out);
     CheckA5MutableGlobals(f, out);
+    CheckA7KeyedSeeds(f, out);
   }
 }
 

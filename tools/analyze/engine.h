@@ -24,14 +24,14 @@ struct AnalyzeOptions {
   // 0 uses the process-wide DefaultThreadPool(); otherwise a dedicated
   // pool of exactly `threads` workers (the determinism tests sweep this).
   int threads = 0;
-  // Run the structural rules (A1-A5). The R-rules always run; compat
+  // Run the structural rules (A1-A7). The R-rules always run; compat
   // output filters to them regardless.
   bool structural_rules = true;
 };
 
 struct AnalysisReport {
   // Ordered: per src/ file in walk order (R-rules in the Python linter's
-  // emission order, then A2-A5), then tests/ and bench/ files (R2, R7,
+  // emission order, then A2-A5 and A7), then tests/ and bench/ files (R2, R7,
   // R6), then A1 (layering), then A6 (telemetry naming), then R5 — so
   // filtering to R-rules reproduces the Python linter's output order
   // exactly.

@@ -5,7 +5,7 @@
 // per-line single-finding behaviour, and suppression semantics exactly, so
 // the migration could be cross-checked byte-for-byte.
 //
-// A1-A5 are new structural rules the line-regex linter could not express:
+// A1-A7 are new structural rules the line-regex linter could not express:
 //
 //   A1  layering: the quoted-include graph over src/ must follow the layer
 //       DAG (util -> obs -> {stats, density, sampling, datagen} ->
@@ -23,6 +23,10 @@
 //   A6  telemetry naming: one metric/span string literal must map to one
 //       instrument kind (counter, gauge, histogram, span) across src/ —
 //       reuse across kinds makes the exporters emit colliding series.
+//   A7  keyed streams: outside src/util/random.*, no `Rng(...)` argument
+//       and no `.seed =` value may be built by `^` or `+` on a seed (an
+//       identifier naming a seed); streams derive from StreamKey(seed,
+//       tag, index) so every draw is keyed by (seed, phase, index).
 //
 // Every rule honours `// lint-invariants: allow(<rule>)` on the reported
 // line except R4/R5, which (as in the Python linter) have no suppression.
@@ -74,6 +78,7 @@ void CheckA3DiscardedStatus(const SourceFile& f, const RepoIndex& index,
 void CheckA4ExhaustiveSwitch(const SourceFile& f, const RepoIndex& index,
                              std::vector<Finding>* out);
 void CheckA5MutableGlobals(const SourceFile& f, std::vector<Finding>* out);
+void CheckA7KeyedSeeds(const SourceFile& f, std::vector<Finding>* out);
 // A1 runs over the whole include graph (back-edges and cycles).
 void CheckA1Layering(const RepoIndex& index, std::vector<Finding>* out);
 // A6 cross-checks literal telemetry registrations across every src/ file.

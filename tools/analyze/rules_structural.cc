@@ -5,8 +5,10 @@
 #include "rules.h"
 
 #include <algorithm>
+#include <cctype>
 #include <map>
 #include <set>
+#include <string>
 #include <unordered_set>
 
 namespace vastats {
@@ -750,6 +752,97 @@ void CheckA6TelemetryNames(const RepoIndex& index, std::vector<Finding>* out) {
                "; one name must map to one instrument (colliding exporter "
                "series, corrupted trace tracks) — rename one of them",
            out);
+    }
+  }
+}
+
+// --- A7: keyed streams, no seed arithmetic ---------------------------------
+
+namespace {
+
+// An identifier naming a seed: `seed`, `straggler_seed`, `kWarmupSeed`, ...
+bool IsSeedName(const Token& t) {
+  if (t.kind != TokenKind::kIdentifier) return false;
+  std::string lower;
+  for (const char c : t.text) {
+    lower += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return lower.find("seed") != std::string::npos;
+}
+
+// True when a `^` or `+` in view positions [begin, end) has a seed as a
+// direct operand: the token before it is a seed name, or the member chain
+// after it (`a.b->seed`) names one.
+bool HasSeedArithmetic(const View& V, size_t begin, size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    if (!IsPunct(V[i], "^") && !IsPunct(V[i], "+")) continue;
+    if (i > begin && IsSeedName(V[i - 1])) return true;
+    for (size_t j = i + 1; j < end; j += 2) {
+      if (IsSeedName(V[j])) return true;
+      if (V[j].kind != TokenKind::kIdentifier) break;
+      if (!IsPunct(V[j + 1], ".") && !IsPunct(V[j + 1], "->") &&
+          !IsPunct(V[j + 1], "::")) {
+        break;
+      }
+    }
+  }
+  return false;
+}
+
+// End (exclusive) of the expression starting at `begin`: the first `;`, or
+// `,`/`)`/`}` at depth 0.
+size_t ExpressionEnd(const View& V, size_t begin) {
+  int depth = 0;
+  for (size_t i = begin; i < V.size(); ++i) {
+    const Token& t = V[i];
+    if (IsPunct(t, "(") || IsPunct(t, "{") || IsPunct(t, "[")) ++depth;
+    if (IsPunct(t, ")") || IsPunct(t, "}") || IsPunct(t, "]")) {
+      if (depth-- == 0) return i;
+    }
+    if (IsPunct(t, ";") || (depth == 0 && IsPunct(t, ","))) return i;
+  }
+  return V.size();
+}
+
+}  // namespace
+
+void CheckA7KeyedSeeds(const SourceFile& f, std::vector<Finding>* out) {
+  if (f.rel_path == "src/util/random.h" || f.rel_path == "src/util/random.cc") {
+    return;  // the one key derivation
+  }
+  const View V(f);
+  int reported_line = 0;
+  const auto report = [&](const Token& at, const char* what) {
+    if (at.line == reported_line) return;
+    reported_line = at.line;
+    Emit(f, "A7", at.line,
+         std::string(what) +
+             " is built by seed arithmetic (`^`/`+` on a seed); derive it "
+             "with StreamKey(seed, tag, index) (src/util/random.h) so the "
+             "stream is keyed by (seed, phase, index)",
+         out);
+  };
+  for (size_t i = 0; i < V.size(); ++i) {
+    // `Rng(...)`, `Rng{...}`, `Rng name(...)`, `Rng name{...}`.
+    if (IsIdent(V[i], "Rng") && !(i > 0 && IsPunct(V[i - 1], "::"))) {
+      size_t open = i + 1;
+      if (V[open].kind == TokenKind::kIdentifier) ++open;
+      const bool paren = IsPunct(V[open], "(");
+      if (!paren && !IsPunct(V[open], "{")) continue;
+      const size_t close = V.SkipBalanced(open, paren ? "(" : "{",
+                                          paren ? ")" : "}");
+      if (HasSeedArithmetic(V, open + 1, close)) report(V[i], "an `Rng` seed");
+      continue;
+    }
+    // `x.seed = ...`, `x->seed = ...`, and compound `seed += / ^=`.
+    if (!IsSeedName(V[i]) || i == 0) continue;
+    if (!IsPunct(V[i - 1], ".") && !IsPunct(V[i - 1], "->")) continue;
+    const Token& op = V[i + 1];
+    if (IsPunct(op, "+=") || IsPunct(op, "^=")) {
+      report(V[i], "a `.seed` value");
+    } else if (IsPunct(op, "=") &&
+               HasSeedArithmetic(V, i + 2, ExpressionEnd(V, i + 2))) {
+      report(V[i], "a `.seed` value");
     }
   }
 }

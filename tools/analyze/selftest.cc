@@ -555,6 +555,66 @@ void TestStructuralRules(Harness* h) {
             "A6");
 }
 
+void TestKeyedSeeds(Harness* h) {
+  // A7: no Rng argument or .seed value built by seed arithmetic.
+  auto run_a7 = [](const std::string& path, const std::string& text) {
+    const SourceFile f = MakeSourceFile(path, text);
+    std::vector<Finding> out;
+    CheckA7KeyedSeeds(f, &out);
+    return out;
+  };
+  h->Expect("A7 xor into a seed",
+            run_a7("src/core/fake.cc",
+                   "void F() { Rng rng(options.seed ^ 0x9e3779b9ULL); }\n"),
+            "A7");
+  h->Expect("A7 chunk stride",
+            run_a7("src/sampling/fake.cc",
+                   "void F(int c) {\n  Rng rng(options.seed +\n"
+                   "          kStride * (c + 1));\n}\n"),
+            "A7");
+  h->Expect("A7 temporary with a seed on the right",
+            run_a7("src/core/fake.cc",
+                   "double F(uint64_t id) { return Rng(id ^ straggler_seed)"
+                   ".Uniform01(); }\n"),
+            "A7");
+  h->Expect("A7 derived seed",
+            run_a7("src/core/fake.cc",
+                   "void F(int g) { options.seed = options_.seed + g; }\n"),
+            "A7");
+  h->Expect("A7 designated seed",
+            run_a7("src/core/fake.cc",
+                   "Opts F() { return Opts{.seed = base->seed ^ fp, .n = 2}; "
+                   "}\n"),
+            "A7");
+  h->Expect("A7 compound assignment",
+            run_a7("src/core/fake.cc", "void F() { options.seed ^= 7; }\n"),
+            "A7");
+  h->Expect("A7 keyed stream",
+            run_a7("src/core/fake.cc",
+                   "void F(int i) {\n"
+                   "  Rng rng(StreamKey(seed, StreamTag::kUniSDraw, i + 1));\n"
+                   "  options.seed = StreamKey(base.seed, StreamTag::kGroup, "
+                   "g);\n}\n"),
+            "");
+  h->Expect("A7 plain seed",
+            run_a7("src/core/fake.cc",
+                   "void F() { Rng rng(options.seed); options.seed = seed; }\n"),
+            "");
+  h->Expect("A7 arithmetic on other values",
+            run_a7("src/core/fake.cc",
+                   "void F() { Rng rng(base + 1); total = a + b; }\n"),
+            "");
+  h->Expect("A7 random facade sanctioned",
+            run_a7("src/util/random.cc",
+                   "uint64_t K(uint64_t seed) { return Rng(seed ^ 1)(); }\n"),
+            "");
+  h->Expect("A7 allow",
+            run_a7("src/core/fake.cc",
+                   "void F() {\n  Rng rng(seed + 1);  "
+                   "// lint-invariants: allow(A7)\n}\n"),
+            "");
+}
+
 void TestBaseline(Harness* h) {
   const Finding finding{"A5", "src/core/fake.cc", 3, "mutable state"};
   const Baseline baseline = ParseBaseline(
@@ -573,6 +633,7 @@ std::vector<std::string> RunSelfTest() {
   Harness harness;
   TestPythonCorpus(&harness);
   TestStructuralRules(&harness);
+  TestKeyedSeeds(&harness);
   TestBaseline(&harness);
   return harness.failures;
 }
