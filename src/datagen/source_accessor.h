@@ -16,10 +16,10 @@
 // Determinism contract: `SourceAccessor` is immutable configuration, shared
 // read-only across threads. All mutable state (breaker windows, the virtual
 // clock, counters) lives in an `AccessSession`, and a session belongs to
-// exactly ONE sampling stream — the serial batch, or one chunk of the
-// chunk-indexed parallel driver. Fault decisions are keyed by (source,
-// draw epoch, attempt), and epochs are global draw indices, so a chaos run
-// is bit-identical across serial, call-scoped-pool and persistent-pool
+// exactly ONE run of draws — one chunk of the chunk driver, or the whole
+// phase of the adaptive loop. Fault decisions are keyed by (source, draw
+// epoch, attempt), and epochs are global draw indices, so a chaos run is
+// bit-identical across serial, call-scoped-pool and persistent-pool
 // execution of any width. No wall clocks anywhere (lint rule R7).
 
 #ifndef VASTATS_DATAGEN_SOURCE_ACCESSOR_H_
